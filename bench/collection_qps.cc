@@ -265,9 +265,10 @@ int Main(int argc, char** argv) {
                                 : (rows[0].qps > 0 ? row->qps / rows[0].qps
                                                    : 0);
     row->cache = (*engine)->engine().cache();
-    const uint64_t lookups = row->cache.hits + row->cache.misses;
+    const uint64_t lookups = row->cache.block_hits + row->cache.block_misses;
     row->cache_hit_rate =
-        lookups == 0 ? 0 : static_cast<double>(row->cache.hits) / lookups;
+        lookups == 0 ? 0
+                     : static_cast<double>(row->cache.block_hits) / lookups;
     row->doc_stats = (*engine)->doc_stats();
     rows.push_back(*row);
 

@@ -176,14 +176,14 @@ int Main(int argc, char** argv) {
             : 0;
     row->checksum = checksum;
     const TreeIndex::CacheSnapshot cache = (*engine)->cache();
-    const uint64_t lookups = cache.hits + cache.misses;
+    const uint64_t lookups = cache.block_hits + cache.block_misses;
     row->cache_hit_rate =
-        lookups == 0 ? 0 : static_cast<double>(cache.hits) / lookups;
+        lookups == 0 ? 0 : static_cast<double>(cache.block_hits) / lookups;
     row->stats = (*engine)->stats();
     std::fprintf(
         stderr,
         "format=%s arm=%-11s wall=%.3fs patterns/s=%.0f checksum=%llu "
-        "hit_rate=%.3f groups=%llu shared=%llu saved=%llu folded=%llu\n",
+        "block_hit_rate=%.3f groups=%llu shared=%llu saved=%llu folded=%llu\n",
         row->format.c_str(), row->arm.c_str(), row->wall_seconds,
         row->patterns_per_second,
         static_cast<unsigned long long>(row->checksum), row->cache_hit_rate,

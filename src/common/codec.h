@@ -10,8 +10,9 @@
 //    order (bit i of the stream is bit i%8 of byte i/8). The reader decodes
 //    a field with two unaligned 64-bit loads, so random node access inside a
 //    packed record costs a handful of instructions; callers must guarantee
-//    kBitReaderPadBytes of readable tail (CompressedSubTree appends the pad
-//    to its blob, it is never written to disk).
+//    kBitReaderPadBytes of readable tail (a served sub-tree reads records
+//    from blocks with an overlap tail, or from an image with a zero pad that
+//    is never written to disk).
 
 #ifndef ERA_COMMON_CODEC_H_
 #define ERA_COMMON_CODEC_H_

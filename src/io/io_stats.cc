@@ -19,7 +19,6 @@ std::string IoStats::ToString() const {
      << " tile_device=" << tile_device_bytes << "B"
      << " tile_evicted=" << tile_evicted_bytes << "B"
      << " cache_hits=" << cache_hits << " cache_misses=" << cache_misses
-     << " cache_evicted=" << cache_evicted_bytes << "B"
      << " read_retries=" << read_retries;
   return os.str();
 }
@@ -70,13 +69,9 @@ const std::vector<IoStatsField>& IoStatsFields() {
        "Resident tile bytes dropped by budget evictions",
        &IoStats::tile_evicted_bytes},
       {"era_io_cache_hits_total",
-       "Sub-tree opens served from the in-memory cache", &IoStats::cache_hits},
+       "Sub-tree opens served by an attached handle", &IoStats::cache_hits},
       {"era_io_cache_misses_total",
-       "Sub-tree opens that loaded the file from the device",
-       &IoStats::cache_misses},
-      {"era_io_cache_evicted_bytes_total",
-       "Cached sub-tree bytes dropped by LRU budget evictions",
-       &IoStats::cache_evicted_bytes},
+       "Sub-tree opens that attached the file", &IoStats::cache_misses},
       {"era_io_read_retries_total",
        "Transiently failed device reads re-issued by a RetryPolicy",
        &IoStats::read_retries},

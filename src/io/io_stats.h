@@ -64,13 +64,10 @@ struct IoStats {
   uint64_t tile_device_bytes = 0;
   /// Bytes of resident tiles dropped by tile-cache budget evictions.
   uint64_t tile_evicted_bytes = 0;
-  /// Sub-tree opens served from the in-memory cache (no device traffic).
+  /// Sub-tree opens served by an attached handle (no device traffic).
   uint64_t cache_hits = 0;
-  /// Sub-tree opens that had to load the file from the device.
+  /// Sub-tree opens that attached the file (read and validated it whole).
   uint64_t cache_misses = 0;
-  /// Bytes of cached sub-trees dropped by LRU budget evictions (explicit
-  /// EvictCache sweeps are not counted; see TreeIndex).
-  uint64_t cache_evicted_bytes = 0;
   /// Device reads that failed transiently and were re-issued by a
   /// RetryPolicy. A nonzero count with a successful run means faults were
   /// absorbed, not ignored.
@@ -97,7 +94,6 @@ struct IoStats {
     tile_evicted_bytes += other.tile_evicted_bytes;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
-    cache_evicted_bytes += other.cache_evicted_bytes;
     read_retries += other.read_retries;
   }
 

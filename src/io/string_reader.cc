@@ -437,12 +437,13 @@ StatusOr<std::unique_ptr<StringReader>> OpenStringReader(
     IoStats* stats) {
   std::unique_ptr<RandomAccessFile> file;
   if (options.tile_cache != nullptr) {
-    if (options.tile_cache->path() != path) {
-      return Status::InvalidArgument(
-          "tile cache was opened on '" + options.tile_cache->path() +
-          "', reader on '" + path + "'");
+    std::shared_ptr<const TileFile> cached =
+        options.tile_cache->FindFile(path);
+    if (cached == nullptr) {
+      return Status::InvalidArgument("tile cache has no file '" + path +
+                                     "' registered");
     }
-    file = NewCachedFile(options.tile_cache);
+    file = NewCachedFile(options.tile_cache, std::move(cached));
   } else {
     ERA_ASSIGN_OR_RETURN(file, env->OpenRandomAccess(path));
   }

@@ -67,8 +67,8 @@ struct StringReaderOptions {
   /// Shared read-through tile cache (io/tile_cache.h). When set, the reader
   /// is served from the cache instead of the device: refills bill
   /// IoStats::cache_served_bytes, and the cache accounts the real device
-  /// traffic its misses cause. The cache must have been opened on the same
-  /// path this reader is opened on.
+  /// traffic its misses cause. The reader's path must be registered with
+  /// the cache (TileCache::Open or AddFile).
   std::shared_ptr<TileCache> tile_cache;
   /// Transient device-read faults (IOError only — never Corruption) are
   /// retried with exponential backoff before the scan fails; absorbed

@@ -11,9 +11,9 @@ namespace {
 /// Iterative DFS over one sub-tree invoking `visit(node, depth)` for every
 /// internal node with >= 2 children (true branching points). Walks the
 /// serving form through the NodeView cursor, so compressed (v3) trees are
-/// traversed without inflating.
+/// traversed without inflating; the first failed read or visit stops it.
 template <typename Visit>
-void VisitBranchingNodes(const ServedSubTree& tree, Visit&& visit) {
+Status VisitBranchingNodes(const ServedSubTree& tree, Visit&& visit) {
   struct Frame {
     uint32_t node;
     uint64_t depth;
@@ -22,23 +22,23 @@ void VisitBranchingNodes(const ServedSubTree& tree, Visit&& visit) {
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
-    const NodeView n = tree.node(f.node);
+    ERA_ASSIGN_OR_RETURN(const NodeView n, tree.node(f.node));
     if (n.IsLeaf()) continue;
     for (uint32_t i = 0; i < n.num_children; ++i) {
       uint32_t c = n.children_begin + i;
-      stack.push_back({c, f.depth + tree.node(c).edge_len});
+      ERA_ASSIGN_OR_RETURN(const NodeView child, tree.node(c));
+      stack.push_back({c, f.depth + child.edge_len});
     }
-    if (n.num_children >= 2) visit(f.node, f.depth);
+    if (n.num_children >= 2) ERA_RETURN_NOT_OK(visit(f.node, f.depth));
   }
+  return Status::OK();
 }
 
 /// First leaf position under `node` (cheap existence witness).
-uint64_t FirstLeafUnder(const ServedSubTree& tree, uint32_t node) {
-  uint32_t u = node;
-  NodeView v = tree.node(u);
+StatusOr<uint64_t> FirstLeafUnder(const ServedSubTree& tree, uint32_t node) {
+  ERA_ASSIGN_OR_RETURN(NodeView v, tree.node(node));
   while (!v.IsLeaf()) {
-    u = v.children_begin;
-    v = tree.node(u);
+    ERA_ASSIGN_OR_RETURN(v, tree.node(v.children_begin));
   }
   return tree.LeafIdOf(v);
 }
@@ -50,12 +50,13 @@ StatusOr<Substring> LongestRepeatedSubstring(Env* env, const TreeIndex& index,
   Substring best;
   for (uint32_t id = 0; id < index.subtrees().size(); ++id) {
     ERA_ASSIGN_OR_RETURN(auto tree, index.OpenSubTree(env, id, nullptr));
-    VisitBranchingNodes(*tree, [&](uint32_t node, uint64_t depth) {
-      if (depth > best.length) {
-        best.length = depth;
-        best.offset = FirstLeafUnder(*tree, node);
-      }
-    });
+    ERA_RETURN_NOT_OK(
+        VisitBranchingNodes(*tree, [&](uint32_t node, uint64_t depth) {
+          if (depth <= best.length) return Status::OK();
+          ERA_ASSIGN_OR_RETURN(best.offset, FirstLeafUnder(*tree, node));
+          best.length = depth;
+          return Status::OK();
+        }));
   }
   // Branching points shared between sub-trees live on trie paths; a trie
   // node with >= 2 suffixes below it witnesses a repeat of its path length.
@@ -80,7 +81,7 @@ StatusOr<Substring> LongestRepeatedSubstring(Env* env, const TreeIndex& index,
             auto tree,
             index.OpenSubTree(
                 env, static_cast<uint32_t>(entries[0].subtree_id), nullptr));
-        offset = FirstLeafUnder(*tree, 0);
+        ERA_ASSIGN_OR_RETURN(offset, FirstLeafUnder(*tree, 0));
       } else {
         offset = entries[0].leaf_position;
       }
@@ -113,7 +114,7 @@ StatusOr<Motif> MostFrequentKmer(Env* env, const TreeIndex& index,
     while (!stack.empty()) {
       Frame f = stack.back();
       stack.pop_back();
-      const NodeView n = tree->node(f.node);
+      ERA_ASSIGN_OR_RETURN(const NodeView n, tree->node(f.node));
       if (f.depth >= k) {
         // All leaves below share the first k symbols.
         std::vector<uint64_t> leaves;
@@ -137,7 +138,8 @@ StatusOr<Motif> MostFrequentKmer(Env* env, const TreeIndex& index,
       }
       for (uint32_t i = 0; i < n.num_children; ++i) {
         uint32_t c = n.children_begin + i;
-        stack.push_back({c, f.depth + tree->node(c).edge_len});
+        ERA_ASSIGN_OR_RETURN(const NodeView child, tree->node(c));
+        stack.push_back({c, f.depth + child.edge_len});
       }
     }
   }
@@ -165,12 +167,12 @@ StatusOr<Substring> LongestCommonSubstring(Env* env, const TreeIndex& index,
   Substring best;
   for (uint32_t id = 0; id < index.subtrees().size(); ++id) {
     ERA_ASSIGN_OR_RETURN(auto tree, index.OpenSubTree(env, id, nullptr));
-    Status collect = Status::OK();
-    VisitBranchingNodes(*tree, [&](uint32_t node, uint64_t depth) {
-      if (!collect.ok() || depth <= best.length) return;
+    ERA_RETURN_NOT_OK(VisitBranchingNodes(*tree, [&](uint32_t node,
+                                                     uint64_t depth) {
+      if (depth <= best.length) return Status::OK();
       std::vector<uint64_t> leaves;
-      collect = tree->CollectLeaves(node, nullptr, SIZE_MAX, &leaves);
-      if (!collect.ok()) return;
+      ERA_RETURN_NOT_OK(
+          tree->CollectLeaves(node, nullptr, SIZE_MAX, &leaves));
       bool has_a = false;
       bool has_b = false;
       uint64_t witness = 0;
@@ -188,11 +190,11 @@ StatusOr<Substring> LongestCommonSubstring(Env* env, const TreeIndex& index,
         has_a |= (loc.doc_id == doc_a);
         has_b |= (loc.doc_id == doc_b);
       }
-      if (!has_a || !has_b) return;
+      if (!has_a || !has_b) return Status::OK();
       best.length = depth;
       best.offset = witness;
-    });
-    ERA_RETURN_NOT_OK(collect);
+      return Status::OK();
+    }));
   }
   return best;
 }

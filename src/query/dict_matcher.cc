@@ -1,8 +1,10 @@
 #include "query/dict_matcher.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string_view>
+#include <thread>
 
 namespace era {
 
@@ -15,6 +17,41 @@ bool TerminatesDictionary(const Status& status) {
   return status.IsDeadlineExceeded() || status.IsCancelled();
 }
 
+/// Helper threads that attach a batch's cold sub-trees ahead of its group
+/// loop (see DictMatcher::Run); joined on destruction.
+class AttachAhead {
+ public:
+  AttachAhead(Env* env, const TreeIndex& index, std::vector<uint32_t> ids,
+              const QueryContext& ctx)
+      : ids_(std::move(ids)), ctx_(ctx) {
+    ctx_.trace = nullptr;  // a trace is filled by the request's own thread
+    constexpr std::size_t kMaxThreads = 4;
+    const std::size_t threads = std::min(
+        {kMaxThreads, ids_.size() / 2,
+         static_cast<std::size_t>(std::thread::hardware_concurrency())});
+    for (std::size_t t = 0; t < threads; ++t) {
+      threads_.emplace_back([this, env, &index] {
+        for (std::size_t i = next_++; i < ids_.size(); i = next_++) {
+          // Failures are left to the group's own open, which reports and
+          // quarantines them.
+          (void)index.OpenSubTree(env, ids_[i], nullptr, &ctx_);
+        }
+      });
+    }
+  }
+  ~AttachAhead() {
+    for (std::thread& thread : threads_) thread.join();
+  }
+  AttachAhead(const AttachAhead&) = delete;
+  AttachAhead& operator=(const AttachAhead&) = delete;
+
+ private:
+  const std::vector<uint32_t> ids_;
+  QueryContext ctx_;  // the batch's deadline and cancellation, untraced
+  std::atomic<std::size_t> next_{0};
+  std::vector<std::thread> threads_;
+};
+
 }  // namespace
 
 void DictMatcher::ResolveCount(std::size_t w, uint64_t count) {
@@ -24,13 +61,14 @@ void DictMatcher::ResolveCount(std::size_t w, uint64_t count) {
   up.resolved = true;
 }
 
-void DictMatcher::ResolveMatch(std::size_t w, const ServedSubTree& tree,
-                               uint32_t node,
-                               std::vector<MatchedSlot>* matched) {
-  const uint64_t count = tree.node(node).count;
+Status DictMatcher::ResolveMatch(std::size_t w, const ServedSubTree& tree,
+                                 uint32_t node,
+                                 std::vector<MatchedSlot>* matched) {
+  ERA_ASSIGN_OR_RETURN(const NodeView v, tree.node(node));
+  const uint64_t count = v.count;
   if (!options_.locate) {
     ResolveCount(w, count);
-    return;
+    return Status::OK();
   }
   UniquePattern& up = unique_[w];
   ++session_->stats.queries;
@@ -38,6 +76,7 @@ void DictMatcher::ResolveMatch(std::size_t w, const ServedSubTree& tree,
   // Resolved only once the group's leaf pass delivers the offsets, so a
   // failure between here and there still stamps this pattern.
   matched->push_back(MatchedSlot{w, node});
+  return Status::OK();
 }
 
 void DictMatcher::StampUnresolved(std::size_t w, const Status& status,
@@ -96,7 +135,7 @@ Status DictMatcher::Descend(const ServedSubTree& tree, std::size_t lo,
     // At most one pattern can end exactly at this depth (dedup made the
     // shared prefix itself unique); it matches at this node.
     while (f.lo < f.hi && unique_[f.lo].pattern->size() == f.depth) {
-      ResolveMatch(f.lo, tree, f.node, matched);
+      ERA_RETURN_NOT_OK(ResolveMatch(f.lo, tree, f.node, matched));
       ++f.lo;
     }
     // Split the range at child boundaries: patterns are sorted, so each
@@ -120,7 +159,7 @@ Status DictMatcher::Descend(const ServedSubTree& tree, std::size_t lo,
       }
       ++session_->stats.dict_descents_shared;
       session_->stats.dict_descents_saved += (b - a) - 1;
-      const NodeView c = tree.node(child);
+      ERA_ASSIGN_OR_RETURN(const NodeView c, tree.node(child));
       // Walk the edge label ONCE for the whole [a, b) run. FindChild
       // verified label symbol 0. Invariant kept below: every surviving
       // pattern is strictly longer than the current depth, so the chunk
@@ -137,7 +176,7 @@ Status DictMatcher::Descend(const ServedSubTree& tree, std::size_t lo,
         while (lo2 < hi2 && unique_[lo2].pattern->size() == f.depth + j) {
           // Ends inside the edge: the locus is mid-edge, every occurrence
           // sits under `child` (MatchInSubTree's verdict for this case).
-          ResolveMatch(lo2, tree, child, matched);
+          ERA_RETURN_NOT_OK(ResolveMatch(lo2, tree, child, matched));
           ++lo2;
         }
         if (lo2 == hi2) {
@@ -155,7 +194,7 @@ Status DictMatcher::Descend(const ServedSubTree& tree, std::size_t lo,
           const std::size_t d = f.depth + j + t;
           if (t != 0) {
             while (lo2 < hi2 && unique_[lo2].pattern->size() == d) {
-              ResolveMatch(lo2, tree, child, matched);
+              ERA_RETURN_NOT_OK(ResolveMatch(lo2, tree, child, matched));
               ++lo2;
             }
             if (lo2 == hi2) {
@@ -248,16 +287,16 @@ Status DictMatcher::ResolveLocates(const ServedSubTree& tree,
 
 Status DictMatcher::RunGroup(std::size_t lo, std::size_t hi) {
   ++session_->stats.dict_groups_formed;
-  ERA_ASSIGN_OR_RETURN(
-      auto tree,
-      engine_->OpenSubTreeOrQuarantine(
-          static_cast<uint32_t>(unique_[lo].subtree_id), session_, ctx_));
+  const auto id = static_cast<uint32_t>(unique_[lo].subtree_id);
+  ERA_ASSIGN_OR_RETURN(auto tree,
+                       engine_->OpenSubTreeOrQuarantine(id, session_, ctx_));
   std::vector<MatchedSlot> matched;
-  ERA_RETURN_NOT_OK(Descend(*tree, lo, hi, &matched));
-  if (options_.locate && !matched.empty()) {
-    ERA_RETURN_NOT_OK(ResolveLocates(*tree, matched));
+  Status walked = Descend(*tree, lo, hi, &matched);
+  if (walked.ok() && options_.locate && !matched.empty()) {
+    walked = ResolveLocates(*tree, matched);
   }
-  return Status::OK();
+  // A block that fails to load mid-walk degrades like a failed open.
+  return engine_->SubTreeFailure(id, session_, walked);
 }
 
 void DictMatcher::Run(const std::vector<std::string>& patterns,
@@ -303,6 +342,21 @@ void DictMatcher::Run(const std::vector<std::string>& patterns,
     }
     unique_.push_back(std::move(up));
   }
+
+  // The batch knows every sub-tree it will open, and attaching one reads
+  // and validates its whole file. Cold ones are attached ahead of the group
+  // loop by a few helper threads, so their file reads overlap one another
+  // and the descents instead of queueing behind them. A group's own open
+  // joins an attach in flight (attaches are single-flight per id).
+  std::vector<uint32_t> cold;
+  int64_t last_id = -1;
+  for (const UniquePattern& up : unique_) {
+    if (up.kind != RouteKind::kSubTree || up.subtree_id == last_id) continue;
+    last_id = up.subtree_id;
+    const auto id = static_cast<uint32_t>(up.subtree_id);
+    if (!engine_->index_.Attached(id)) cold.push_back(id);
+  }
+  AttachAhead ahead(engine_->env_, engine_->index_, std::move(cold), ctx_);
 
   // Group boundary loop. `terminal` flips once on deadline/cancel and
   // stamps everything still unresolved, preserving the batch contract.

@@ -86,8 +86,8 @@ class DictMatcher {
   /// Records a match at `node` for unique pattern `w`. Count mode resolves
   /// immediately from the node's subtree count; locate mode defers to the
   /// per-sub-tree leaf pass.
-  void ResolveMatch(std::size_t w, const ServedSubTree& tree, uint32_t node,
-                    std::vector<MatchedSlot>* matched);
+  Status ResolveMatch(std::size_t w, const ServedSubTree& tree, uint32_t node,
+                      std::vector<MatchedSlot>* matched);
   /// Stamps `status` on every item of `w` if it is still unresolved.
   /// `counts_as_query` distinguishes an item that failed on its own (it ran)
   /// from one stamped by someone else's terminal status (it never ran).

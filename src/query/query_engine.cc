@@ -169,18 +169,22 @@ void QueryEngine::InitObservability() {
           samples->push_back(std::move(sample));
         };
         const TreeIndex::CacheSnapshot cache = index_.CacheStats();
-        add("era_cache_hits_total", "Sub-tree cache hits",
+        add("era_cache_hits_total", "Sub-tree opens served by a handle",
             MetricKind::kCounter, static_cast<double>(cache.hits));
-        add("era_cache_misses_total", "Sub-tree cache misses",
+        add("era_cache_misses_total", "Sub-tree opens that attached",
             MetricKind::kCounter, static_cast<double>(cache.misses));
-        add("era_cache_evictions_total", "Sub-tree cache LRU evictions",
+        add("era_cache_block_hits_total", "Block lookups served resident",
+            MetricKind::kCounter, static_cast<double>(cache.block_hits));
+        add("era_cache_block_misses_total", "Block lookups that loaded",
+            MetricKind::kCounter, static_cast<double>(cache.block_misses));
+        add("era_cache_evictions_total", "Block cache budget evictions",
             MetricKind::kCounter, static_cast<double>(cache.evictions));
         add("era_cache_evicted_bytes_total",
-            "Bytes of sub-trees dropped by LRU evictions",
+            "Bytes of blocks dropped by budget evictions",
             MetricKind::kCounter, static_cast<double>(cache.evicted_bytes));
-        add("era_cache_resident_bytes", "Resident sub-tree cache bytes",
+        add("era_cache_resident_bytes", "Resident block cache bytes",
             MetricKind::kGauge, static_cast<double>(cache.resident_bytes));
-        add("era_cache_resident_trees", "Resident cached sub-trees",
+        add("era_cache_resident_trees", "Attached sub-tree handles",
             MetricKind::kGauge, static_cast<double>(cache.resident_trees));
         uint64_t quarantined = 0;
         uint64_t failures = 0;
@@ -234,6 +238,17 @@ StatusOr<std::unique_ptr<QueryEngine::Session>> QueryEngine::AcquireSession() {
   auto session = std::make_unique<Session>();
   StringReaderOptions reader_options;
   reader_options.buffer_bytes = options_.reader_buffer_bytes;
+  // Edge labels read the text through the serving block cache, so the
+  // probes of a descent share resident text blocks instead of each
+  // refilling a private window from the device. A repositioning then costs
+  // a copy from a resident block, so it copies a short window: a probe
+  // reads one symbol, a label comparison at most a pattern's length.
+  reader_options.tile_cache = index_.block_cache();
+  reader_options.random_window_bytes = 256;
+  if (reader_options.tile_cache->FindFile(index_.text().path) == nullptr) {
+    ERA_RETURN_NOT_OK(
+        reader_options.tile_cache->AddFile(env_, index_.text().path).status());
+  }
   ERA_ASSIGN_OR_RETURN(session->reader,
                        OpenStringReader(env_, index_.text().path,
                                         reader_options, &session->io));
@@ -313,20 +328,26 @@ QueryEngine::OpenSubTreeOrQuarantine(uint32_t id, Session* session,
                                                        : "cache_miss");
   }
   if (tree.ok()) return tree;
+  return SubTreeFailure(id, session, tree.status());
+}
+
+Status QueryEngine::SubTreeFailure(uint32_t id, Session* session,
+                                   const Status& status) {
   // A deadline or cancellation abandon says nothing about the file; pass it
   // through so an overloaded moment never poisons the quarantine map.
-  if (tree.status().IsDeadlineExceeded() || tree.status().IsCancelled()) {
-    return tree.status();
+  if (status.ok() || status.IsDeadlineExceeded() || status.IsCancelled()) {
+    return status;
   }
-  // The cache never admits a failed load (tree_index.cc), so the damage is
-  // observed fresh on every attempt and repair needs no restart.
+  // A failed attach is never kept and a block that fails its checksum
+  // drops its handle (tree_index.cc), so the damage is observed fresh on
+  // every attempt and repair needs no restart.
   ++session->stats.unavailable_queries;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++quarantine_[id];
   }
   return Status::Unavailable("sub-tree " + std::to_string(id) +
-                             " unavailable: " + tree.status().ToString());
+                             " unavailable: " + status.ToString());
 }
 
 QueryEngine::ReaderContextGuard::ReaderContextGuard(Session* session,
@@ -354,7 +375,7 @@ Status QueryEngine::Lease::Acquire(QueryEngine* engine) {
 StatusOr<uint32_t> QueryEngine::FindChild(const ServedSubTree& tree,
                                           uint32_t node, char symbol,
                                           Session* session) {
-  const NodeView n = tree.node(node);
+  ERA_ASSIGN_OR_RETURN(const NodeView n, tree.node(node));
   uint32_t lo = 0;
   uint32_t hi = n.num_children;
   // The builders sort sibling blocks by unsigned byte value (the radix
@@ -365,7 +386,7 @@ StatusOr<uint32_t> QueryEngine::FindChild(const ServedSubTree& tree,
   uint32_t got = 0;
   while (lo < hi) {
     uint32_t mid = lo + (hi - lo) / 2;
-    const NodeView c = tree.node(n.children_begin + mid);
+    ERA_ASSIGN_OR_RETURN(const NodeView c, tree.node(n.children_begin + mid));
     ERA_RETURN_NOT_OK(
         session->reader->RandomFetch(c.edge_start, 1, &first, &got));
     if (got != 1) return Status::Corruption("edge label out of text");
@@ -397,7 +418,7 @@ StatusOr<QueryEngine::SubTreeMatch> QueryEngine::MatchInSubTree(
     ERA_ASSIGN_OR_RETURN(uint32_t child,
                          FindChild(tree, node, pattern[matched], session));
     if (child == kNilNode) return result;  // no child continues the pattern
-    const NodeView c = tree.node(child);
+    ERA_ASSIGN_OR_RETURN(const NodeView c, tree.node(child));
     // FindChild verified the first label symbol; walk the rest of the label.
     uint32_t j = 1;
     ++matched;
@@ -439,14 +460,15 @@ StatusOr<uint64_t> QueryEngine::CountWithSession(Session* session,
   }
   const PrefixTrie::Node& node = index_.trie().node(walk.node);
   if (node.subtree_id < 0) return 0;  // fell off the trie: no occurrences
-  ERA_ASSIGN_OR_RETURN(
-      auto tree, OpenSubTreeOrQuarantine(
-                     static_cast<uint32_t>(node.subtree_id), session, ctx));
-  ERA_ASSIGN_OR_RETURN(SubTreeMatch match,
-                       MatchInSubTree(*tree, ctx, pattern, session));
-  if (!match.matched) return 0;
+  const auto id = static_cast<uint32_t>(node.subtree_id);
+  ERA_ASSIGN_OR_RETURN(auto tree, OpenSubTreeOrQuarantine(id, session, ctx));
+  auto match = MatchInSubTree(*tree, ctx, pattern, session);
+  if (!match.ok()) return SubTreeFailure(id, session, match.status());
+  if (!match->matched) return 0;
   // Both serving forms answer from the match node alone — no enumeration.
-  return tree->node(match.node).count;
+  auto matched = tree->node(match->node);
+  if (!matched.ok()) return SubTreeFailure(id, session, matched.status());
+  return matched->count;
 }
 
 StatusOr<std::vector<uint64_t>> QueryEngine::LocateWithSession(
@@ -473,13 +495,13 @@ StatusOr<std::vector<uint64_t>> QueryEngine::LocateWithSession(
       if (hits.size() >= collect_limit) break;
       ERA_RETURN_NOT_OK(ctx.Check());
       if (entry.subtree_id >= 0) {
-        ERA_ASSIGN_OR_RETURN(
-            auto tree,
-            OpenSubTreeOrQuarantine(static_cast<uint32_t>(entry.subtree_id),
-                                    session, ctx));
+        const auto id = static_cast<uint32_t>(entry.subtree_id);
+        ERA_ASSIGN_OR_RETURN(auto tree,
+                             OpenSubTreeOrQuarantine(id, session, ctx));
         TraceSpan span(ctx.trace, "collect");
-        ERA_RETURN_NOT_OK(
-            tree->CollectLeaves(0, &ctx, collect_limit - hits.size(), &hits));
+        ERA_RETURN_NOT_OK(SubTreeFailure(
+            id, session,
+            tree->CollectLeaves(0, &ctx, collect_limit - hits.size(), &hits)));
       } else {
         hits.push_back(entry.leaf_position);
       }
@@ -489,17 +511,17 @@ StatusOr<std::vector<uint64_t>> QueryEngine::LocateWithSession(
     if (node.subtree_id < 0) {
       return hits;  // fell off the trie: no occurrences
     }
-    ERA_ASSIGN_OR_RETURN(
-        auto tree, OpenSubTreeOrQuarantine(
-                       static_cast<uint32_t>(node.subtree_id), session, ctx));
+    const auto id = static_cast<uint32_t>(node.subtree_id);
+    ERA_ASSIGN_OR_RETURN(auto tree, OpenSubTreeOrQuarantine(id, session, ctx));
     // Sub-tree labels carry the full path from the global root, so match
     // the whole pattern inside the sub-tree.
-    ERA_ASSIGN_OR_RETURN(SubTreeMatch match,
-                         MatchInSubTree(*tree, ctx, pattern, session));
-    if (match.matched) {
+    auto match = MatchInSubTree(*tree, ctx, pattern, session);
+    if (!match.ok()) return SubTreeFailure(id, session, match.status());
+    if (match->matched) {
       TraceSpan span(ctx.trace, "collect");
-      ERA_RETURN_NOT_OK(
-          tree->CollectLeaves(match.node, &ctx, collect_limit, &hits));
+      ERA_RETURN_NOT_OK(SubTreeFailure(
+          id, session,
+          tree->CollectLeaves(match->node, &ctx, collect_limit, &hits)));
     }
   }
   // Counts what was actually decoded — kArbitrary's whole point is that

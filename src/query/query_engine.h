@@ -2,9 +2,10 @@
 // symbol comparisons (the suffix tree's raison d'être, Section 1).
 //
 // A query routes through the index's k-mer dispatch table (one array probe
-// replacing the pointer-trie walk) to the responsible sub-tree, loads it
-// through the index's sharded LRU cache, and continues matching against edge
-// labels resolved from the text through a buffered reader. Sub-trees are
+// replacing the pointer-trie walk) to the responsible sub-tree, opens it
+// through the index (README "Serving anatomy": attach once, then 4 KiB
+// blocks from the index's block cache), and continues matching against edge
+// labels resolved from the text through a reader backed by the same cache. Sub-trees are
 // walked in their serving form (ServedSubTree): compressed v3 payloads are
 // never inflated — child lookup is a binary search over the bit-packed,
 // first-symbol-sorted child block, and Count reads the match node's stored
@@ -257,8 +258,9 @@ class QueryEngine {
   QueryStats stats() const;
   /// Snapshot of the sub-tree cache (hits/misses/evictions/residency).
   TreeIndex::CacheSnapshot cache() const { return index_.CacheStats(); }
-  /// Sub-trees whose loads have failed, with failure counts — the serving
-  /// blast radius of on-disk damage. Failed loads are never cached, so a
+  /// Sub-trees whose attaches or block loads have failed, with failure
+  /// counts — the serving blast radius of on-disk damage. Failed attaches
+  /// are never cached and a failed block checksum drops the handle, so a
   /// repaired file starts serving again without a restart.
   std::map<uint32_t, uint64_t> quarantine() const;
 
@@ -357,6 +359,10 @@ class QueryEngine {
   /// without quarantining.
   StatusOr<std::shared_ptr<const ServedSubTree>> OpenSubTreeOrQuarantine(
       uint32_t id, Session* session, const QueryContext& ctx);
+  /// The same degradation for `status` from any read of sub-tree `id` (its
+  /// open, or a block load during the walk): OK, deadline and cancellation
+  /// pass through; anything else is quarantined and becomes Unavailable.
+  Status SubTreeFailure(uint32_t id, Session* session, const Status& status);
 
   /// Bodies of the public context-aware entry points (admission → lease →
   /// per-session work). The public wrappers only add trace start/finish.

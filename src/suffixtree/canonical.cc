@@ -93,7 +93,7 @@ SaLcp TreeToSaLcp(const CountedTree& tree) {
   return out;
 }
 
-SaLcp TreeToSaLcp(const ServedSubTree& tree) {
+StatusOr<SaLcp> TryTreeToSaLcp(const ServedSubTree& tree) {
   SaLcp out;
   if (tree.size() == 0) return out;
 
@@ -108,16 +108,28 @@ SaLcp TreeToSaLcp(const ServedSubTree& tree) {
   uint64_t pending_lcp = 0;
   bool first_leaf = true;
 
-  const NodeView root = tree.node(0);
+  // The walk meets leaves in slot order, so v3 leaf offsets come from one
+  // sequential decode rather than a restart seek per leaf.
+  std::vector<uint64_t> leaves;
+  if (tree.compressed()) {
+    leaves.reserve(tree.LeafCount());
+    ERA_RETURN_NOT_OK(tree.DecodeLeafRange(0, tree.LeafCount(), nullptr,
+                                           SIZE_MAX, &leaves));
+  }
+  auto leaf_of = [&](const NodeView& v) {
+    return tree.compressed() ? leaves[v.leaf_ref] : v.leaf_ref;
+  };
+
+  ERA_ASSIGN_OR_RETURN(const NodeView root, tree.node(0));
   if (root.IsLeaf()) {
-    out.sa.push_back(tree.LeafIdOf(root));
+    out.sa.push_back(leaf_of(root));
     return out;
   }
   stack.push_back({0, 0, 0});
 
   while (!stack.empty()) {
     Frame& top = stack.back();
-    const NodeView node = tree.node(top.node);
+    ERA_ASSIGN_OR_RETURN(const NodeView node, tree.node(top.node));
     if (top.next_child == node.num_children) {
       stack.pop_back();
       if (!stack.empty()) pending_lcp = stack.back().depth;
@@ -125,10 +137,10 @@ SaLcp TreeToSaLcp(const ServedSubTree& tree) {
     }
     uint32_t c = node.children_begin + top.next_child;
     ++top.next_child;
-    const NodeView child = tree.node(c);
+    ERA_ASSIGN_OR_RETURN(const NodeView child, tree.node(c));
     if (child.IsLeaf()) {
       if (!first_leaf) out.lcp.push_back(pending_lcp);
-      out.sa.push_back(tree.LeafIdOf(child));
+      out.sa.push_back(leaf_of(child));
       first_leaf = false;
       pending_lcp = top.depth;
     } else {
@@ -136,6 +148,11 @@ SaLcp TreeToSaLcp(const ServedSubTree& tree) {
     }
   }
   return out;
+}
+
+SaLcp TreeToSaLcp(const ServedSubTree& tree) {
+  StatusOr<SaLcp> out = TryTreeToSaLcp(tree);
+  return out.ok() ? std::move(out).value() : SaLcp{};
 }
 
 uint64_t CountLeaves(const TreeBuffer& tree) {

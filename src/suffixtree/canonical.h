@@ -30,8 +30,12 @@ struct SaLcp {
 /// checks it).
 SaLcp TreeToSaLcp(const TreeBuffer& tree);
 SaLcp TreeToSaLcp(const CountedTree& tree);
-/// Serving-form overload: walks the NodeView cursor API directly, so it works
-/// on both counted and compressed (format v3) trees without inflating.
+/// Serving-form walk over the NodeView cursor API, so it works on both
+/// counted and compressed (format v3) trees without inflating. Fails only
+/// when a block read fails (a block-backed view).
+StatusOr<SaLcp> TryTreeToSaLcp(const ServedSubTree& tree);
+/// TryTreeToSaLcp for callers comparing against an oracle: a failed read
+/// yields an empty result, which never equals a non-empty one.
 SaLcp TreeToSaLcp(const ServedSubTree& tree);
 
 /// Leaf count of the tree (number of suffixes indexed). Both overloads scan

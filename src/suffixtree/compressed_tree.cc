@@ -17,11 +17,46 @@ constexpr uint32_t kLeafRestartInterval = 64;
 /// Cancellation/deadline poll period inside decode loops.
 constexpr uint64_t kCtxCheckStride = 4096;
 
-uint64_t ReadRestart(const std::string& blob, uint64_t restarts_off,
-                     uint64_t block) {
-  uint64_t v;
-  std::memcpy(&v, blob.data() + restarts_off + block * sizeof(uint64_t),
-              sizeof(v));
+/// Longest single read the decoders make: a v3 record's fields touch at
+/// most 45 bytes from the record's first byte (288 bits of fields plus the
+/// BitReader's 9-byte word window); v2 records are 32 bytes, restarts 8 and
+/// varints at most 10.
+constexpr uint32_t kMaxRead = 48;
+static_assert(kMaxRead <= kSubTreeBlockOverlap,
+              "a read must fit in one block's overlap tail");
+
+/// Decodes the v3 record whose first bit is bit `shift` of `p` (which has
+/// kMaxRead readable bytes).
+NodeView DecodePackedRecord(const char* p, uint64_t shift,
+                            const PackedHeader& h) {
+  const BitReader records(p, kMaxRead);
+  uint64_t bit = shift;
+  NodeView v;
+  v.edge_start = records.Get(bit, h.w_edge_start);
+  bit += h.w_edge_start;
+  v.edge_len = static_cast<uint32_t>(records.Get(bit, h.w_edge_len));
+  bit += h.w_edge_len;
+  v.count = records.Get(bit, h.w_count);
+  bit += h.w_count;
+  v.leaf_ref = records.Get(bit, h.w_leaf_ref);
+  bit += h.w_leaf_ref;
+  v.children_begin =
+      static_cast<uint32_t>(records.Get(bit, h.w_children_begin));
+  bit += h.w_children_begin;
+  v.num_children = static_cast<uint32_t>(records.Get(bit, h.w_num_children));
+  return v;
+}
+
+/// The leaf-slot rank bookkeeping of a v3 node, as a NodeView of a v2 node
+/// reports it: v2 leaves carry their suffix directly.
+NodeView FromCounted(const CountedNode& u) {
+  NodeView v;
+  v.edge_start = u.edge_start;
+  v.edge_len = u.edge_len;
+  v.count = u.LeafCount();
+  v.leaf_ref = u.IsLeaf() ? u.leaf_id() : 0;
+  v.children_begin = u.children_begin;
+  v.num_children = u.num_children;
   return v;
 }
 
@@ -108,13 +143,73 @@ std::string CompressedSubTree::EncodePayload(const CountedTree& tree) {
   return payload;
 }
 
-StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
-    std::string payload, uint64_t node_count) {
-  if (payload.size() < sizeof(PackedHeader)) {
+class ServedSubTree::LeafReader {
+ public:
+  LeafReader(const ServedSubTree& tree, uint64_t pos)
+      : tree_(tree),
+        stream_bytes_(tree.layout_->header.leaf_stream_bytes),
+        pos_(pos) {}
+
+  uint64_t pos() const { return pos_; }
+  /// Why the last Next() returned false.
+  const Status& status() const { return status_; }
+
+  /// Decodes the next varint; false (see status()) on a failed block read
+  /// or a malformed stream. Inlined fast path: the varint is in hand.
+  [[gnu::always_inline]] bool Next(uint64_t* raw) {
+    if (pos_ + kMaxVarint <= limit_) {
+      std::size_t at = pos_;
+      if (GetVarint64(window_, limit_, &at, raw)) {
+        pos_ = at;
+        return true;
+      }
+      return Malformed();
+    }
+    return NextSlow(raw);
+  }
+
+ private:
+  static constexpr uint64_t kMaxVarint = 10;
+
+  bool NextSlow(uint64_t* raw) {
+    if (pos_ >= stream_bytes_) return Malformed();
+    // Refetch when the next varint could run past the bytes in hand.
+    if (limit_ < stream_bytes_) {
+      uint64_t avail = 0;
+      const char* p =
+          tree_.Span(tree_.layout_->leaves_off + pos_, &avail, &status_);
+      if (p == nullptr) return false;
+      window_ = p - pos_;  // indexed by stream position
+      limit_ = std::min(pos_ + avail, stream_bytes_);
+    }
+    std::size_t at = pos_;
+    if (!GetVarint64(window_, limit_, &at, raw)) return Malformed();
+    pos_ = at;
+    return true;
+  }
+
+  bool Malformed() {
+    status_ = Status::Corruption("truncated or malformed leaf stream varint");
+    return false;
+  }
+
+  const ServedSubTree& tree_;
+  const uint64_t stream_bytes_;
+  uint64_t pos_;
+  const char* window_ = nullptr;
+  uint64_t limit_ = 0;  // stream bytes readable through window_
+  Status status_;
+};
+
+StatusOr<SubTreeLayout> CompressedSubTree::Validate(const char* image,
+                                                    uint64_t payload_off,
+                                                    uint64_t payload_bytes,
+                                                    uint64_t node_count) {
+  if (payload_bytes < sizeof(PackedHeader)) {
     return Status::Corruption("packed subtree payload shorter than header");
   }
   PackedHeader h;
-  std::memcpy(&h, payload.data(), sizeof(h));
+  std::memcpy(&h, image + payload_off, sizeof(h));
 
   if (node_count == 0 || node_count > 0xFFFFFFFFull) {
     return Status::Corruption("packed subtree node count out of range");
@@ -153,29 +248,35 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
   const uint64_t expected_size = sizeof(PackedHeader) + record_bytes +
                                  h.num_restarts * sizeof(uint64_t) +
                                  h.leaf_stream_bytes;
-  if (payload.size() != expected_size) {
+  if (payload_bytes != expected_size) {
     return Status::Corruption("packed subtree payload size mismatch");
   }
 
-  CompressedSubTree t;
-  t.payload_bytes_ = payload.size();
-  t.blob_ = std::move(payload);
-  t.blob_.append(kBitReaderPadBytes, '\0');
-  t.header_ = h;
-  t.node_count_ = static_cast<uint32_t>(node_count);
-  t.record_bits_ = record_bits;
-  t.records_off_ = sizeof(PackedHeader);
-  t.restarts_off_ = t.records_off_ + record_bytes;
-  t.leaves_off_ = t.restarts_off_ + h.num_restarts * sizeof(uint64_t);
+  SubTreeLayout layout;
+  layout.packed = true;
+  layout.node_count = static_cast<uint32_t>(node_count);
+  layout.leaf_count = h.leaf_count;
+  layout.image_bytes = payload_off + payload_bytes;
+  layout.records_off = payload_off + sizeof(PackedHeader);
+  layout.header = h;
+  layout.record_bits = record_bits;
+  layout.restarts_off = layout.records_off + record_bytes;
+  layout.leaves_off = layout.restarts_off + h.num_restarts * sizeof(uint64_t);
+  // Every check below reads through the same decoder the serving path uses.
+  const ServedSubTree tree(&layout, image, nullptr);
 
   // Structural pass 1 (forward): field ranges, leaf ranks, recorded maxima.
-  const uint32_t n = t.node_count_;
+  const uint32_t n = layout.node_count;
   std::vector<NodeView> nodes(n);
   std::vector<uint64_t> leaf_prefix(n + 1, 0);
   PackedHeader actual;  // re-derived maxima
   uint64_t leaf_rank = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    const NodeView v = t.node(i);
+    // The image is resident: decode in place rather than through the
+    // fallible accessor (same decoder).
+    const uint64_t bit0 = static_cast<uint64_t>(i) * record_bits;
+    const NodeView v = DecodePackedRecord(
+        image + layout.records_off + bit0 / 8, bit0 % 8, h);
     nodes[i] = v;
     leaf_prefix[i + 1] = leaf_prefix[i] + (v.IsLeaf() ? 1 : 0);
     if (v.IsLeaf()) {
@@ -195,18 +296,14 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
         return Status::Corruption("packed internal node with zero count");
       }
     }
-    if (v.edge_start > actual.max_edge_start) {
-      actual.max_edge_start = v.edge_start;
-    }
-    if (v.edge_len > actual.max_edge_len) actual.max_edge_len = v.edge_len;
-    if (v.count > actual.max_count) actual.max_count = v.count;
-    if (v.leaf_ref > actual.max_leaf_ref) actual.max_leaf_ref = v.leaf_ref;
-    if (v.children_begin > actual.max_children_begin) {
-      actual.max_children_begin = v.children_begin;
-    }
-    if (v.num_children > actual.max_num_children) {
-      actual.max_num_children = v.num_children;
-    }
+    actual.max_edge_start = std::max(actual.max_edge_start, v.edge_start);
+    actual.max_edge_len = std::max(actual.max_edge_len, v.edge_len);
+    actual.max_count = std::max(actual.max_count, v.count);
+    actual.max_leaf_ref = std::max(actual.max_leaf_ref, v.leaf_ref);
+    actual.max_children_begin =
+        std::max(actual.max_children_begin, v.children_begin);
+    actual.max_num_children =
+        std::max(actual.max_num_children, v.num_children);
   }
   if (leaf_rank != h.leaf_count) {
     return Status::Corruption("packed leaf count does not match leaf slots");
@@ -265,77 +362,154 @@ StatusOr<CompressedSubTree> CompressedSubTree::FromPayload(
   // Leaf-stream pass: decode exactly leaf_count values, checking every
   // restart offset against the actual block boundary and consuming the
   // stream exactly.
-  const char* stream = t.blob_.data() + t.leaves_off_;
-  std::size_t pos = 0;
+  ServedSubTree::LeafReader reader(tree, 0);
   for (uint64_t r = 0; r < h.leaf_count; ++r) {
-    uint64_t raw;
     if (r % h.leaf_restart_interval == 0) {
-      const uint64_t block = r / h.leaf_restart_interval;
-      if (ReadRestart(t.blob_, t.restarts_off_, block) != pos) {
+      ERA_ASSIGN_OR_RETURN(const uint64_t restart,
+                           tree.Restart(r / h.leaf_restart_interval));
+      if (restart != reader.pos()) {
         return Status::Corruption("leaf stream restart offset mismatch");
       }
     }
-    if (!GetVarint64(stream, h.leaf_stream_bytes, &pos, &raw)) {
-      return Status::Corruption("truncated or malformed leaf stream varint");
-    }
+    uint64_t raw;
+    if (!reader.Next(&raw)) return reader.status();
   }
-  if (pos != h.leaf_stream_bytes) {
+  if (reader.pos() != h.leaf_stream_bytes) {
     return Status::Corruption("trailing bytes in leaf stream");
   }
-
-  return t;
+  return layout;
 }
 
-NodeView CompressedSubTree::node(uint32_t i) const {
-  const BitReader records(blob_.data() + records_off_,
-                          blob_.size() - records_off_);
-  uint64_t bit = static_cast<uint64_t>(i) * record_bits_;
-  NodeView v;
-  v.edge_start = records.Get(bit, header_.w_edge_start);
-  bit += header_.w_edge_start;
-  v.edge_len = static_cast<uint32_t>(records.Get(bit, header_.w_edge_len));
-  bit += header_.w_edge_len;
-  v.count = records.Get(bit, header_.w_count);
-  bit += header_.w_count;
-  v.leaf_ref = records.Get(bit, header_.w_leaf_ref);
-  bit += header_.w_leaf_ref;
-  v.children_begin =
-      static_cast<uint32_t>(records.Get(bit, header_.w_children_begin));
-  bit += header_.w_children_begin;
-  v.num_children =
-      static_cast<uint32_t>(records.Get(bit, header_.w_num_children));
+StatusOr<ServedSubTree> CompressedSubTree::FromPayload(std::string payload,
+                                                       uint64_t node_count) {
+  struct Resident {
+    std::string image;
+    SubTreeLayout layout;
+  };
+  auto resident = std::make_shared<Resident>();
+  resident->image = std::move(payload);
+  const uint64_t payload_bytes = resident->image.size();
+  resident->image.append(kSubTreeBlockOverlap, '\0');
+  ERA_ASSIGN_OR_RETURN(
+      resident->layout,
+      Validate(resident->image.data(), 0, payload_bytes, node_count));
+  const SubTreeLayout* layout = &resident->layout;
+  const char* image = resident->image.data();
+  return ServedSubTree(layout, image, std::move(resident));
+}
+
+ServedSubTree::ServedSubTree(const SubTreeLayout* layout, const char* image,
+                             std::shared_ptr<const void> owner)
+    : layout_(layout), image_(image), owner_(std::move(owner)) {}
+
+ServedSubTree::ServedSubTree(const SubTreeLayout* layout, TileCache* cache,
+                             const TileFile* file,
+                             std::shared_ptr<const void> owner,
+                             const QueryContext* ctx)
+    : layout_(layout),
+      cache_(cache),
+      file_(file),
+      owner_(std::move(owner)),
+      ctx_(ctx) {}
+
+const char* ServedSubTree::BlockSpan(uint64_t off, uint64_t* avail,
+                                     Status* error) const {
+  const uint64_t index = off / kSubTreeBlockBytes;
+  const CachedTile* block = nullptr;
+  for (const Pin& pin : pins_) {
+    if (pin.index == index) {
+      block = pin.block.get();
+      break;
+    }
+  }
+  if (block == nullptr) {
+    Pin& pin = pins_[next_pin_];
+    next_pin_ = (next_pin_ + 1) % kPins;
+    pin.index = ~0ull;
+    auto loaded = cache_->GetTile(*file_, index, ctx_);
+    if (!loaded.ok()) {
+      *error = loaded.status();
+      return nullptr;
+    }
+    pin.block = std::move(loaded).value();
+    pin.index = index;
+    block = pin.block.get();
+  }
+  const uint64_t in_block = off - index * kSubTreeBlockBytes;
+  *avail = block->data.size() > in_block ? block->data.size() - in_block : 0;
+  return block->data.data() + in_block;
+}
+
+StatusOr<const char*> ServedSubTree::Bytes(uint64_t off, uint32_t n) const {
+  uint64_t avail = 0;
+  Status error;
+  const char* p = Span(off, &avail, &error);
+  if (p == nullptr) return error;
+  if (avail >= n) return p;
+  // The last block ends at end-of-file: serve the read zero-padded, as the
+  // all-resident image is.
+  std::memset(tail_, 0, sizeof(tail_));
+  std::memcpy(tail_, p, avail);
+  return static_cast<const char*>(tail_);
+}
+
+
+StatusOr<NodeView> ServedSubTree::node(uint32_t i) const {
+  const SubTreeLayout& l = *layout_;
+  if (!l.packed) {
+    ERA_ASSIGN_OR_RETURN(
+        const char* p,
+        Bytes(l.records_off + static_cast<uint64_t>(i) * sizeof(CountedNode),
+              sizeof(CountedNode)));
+    CountedNode u;
+    std::memcpy(&u, p, sizeof(u));
+    return FromCounted(u);
+  }
+  const uint64_t bit0 = static_cast<uint64_t>(i) * l.record_bits;
+  ERA_ASSIGN_OR_RETURN(const char* p, Bytes(l.records_off + bit0 / 8, kMaxRead));
+  return DecodePackedRecord(p, bit0 % 8, l.header);
+}
+
+StatusOr<uint64_t> ServedSubTree::Restart(uint64_t block) const {
+  ERA_ASSIGN_OR_RETURN(
+      const char* p,
+      Bytes(layout_->restarts_off + block * sizeof(uint64_t),
+            sizeof(uint64_t)));
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-uint64_t CompressedSubTree::LeafId(uint64_t rank) const {
-  const char* stream = blob_.data() + leaves_off_;
-  const uint64_t block = rank / header_.leaf_restart_interval;
-  std::size_t pos = ReadRestart(blob_, restarts_off_, block);
+StatusOr<uint64_t> ServedSubTree::LeafId(uint64_t rank) const {
+  const uint32_t interval = layout_->header.leaf_restart_interval;
+  const uint64_t block = rank / interval;
+  ERA_ASSIGN_OR_RETURN(const uint64_t pos, Restart(block));
+  LeafReader reader(*this, pos);
   uint64_t v = 0;
-  GetVarint64(stream, header_.leaf_stream_bytes, &pos, &v);
-  for (uint64_t r = block * header_.leaf_restart_interval; r < rank; ++r) {
+  if (!reader.Next(&v)) return reader.status();
+  for (uint64_t r = block * interval; r < rank; ++r) {
     uint64_t raw = 0;
-    GetVarint64(stream, header_.leaf_stream_bytes, &pos, &raw);
+    if (!reader.Next(&raw)) return reader.status();
     v = static_cast<uint64_t>(static_cast<int64_t>(v) + ZigZagDecode(raw));
   }
   return v;
 }
 
-Status CompressedSubTree::DecodeLeafRange(uint64_t rank_begin, uint64_t count,
-                                          const QueryContext* ctx,
-                                          std::size_t limit,
-                                          std::vector<uint64_t>* out) const {
+Status ServedSubTree::DecodeLeafRange(uint64_t rank_begin, uint64_t count,
+                                      const QueryContext* ctx,
+                                      std::size_t limit,
+                                      std::vector<uint64_t>* out) const {
   if (count == 0 || limit == 0) return Status::OK();
   const uint64_t rank_end = rank_begin + count;
-  const uint32_t interval = header_.leaf_restart_interval;
-  const char* stream = blob_.data() + leaves_off_;
+  const uint32_t interval = layout_->header.leaf_restart_interval;
   const uint64_t first_block = rank_begin / interval;
-  std::size_t pos = ReadRestart(blob_, restarts_off_, first_block);
+  ERA_ASSIGN_OR_RETURN(const uint64_t pos, Restart(first_block));
+  LeafReader reader(*this, pos);
   uint64_t v = 0;
   std::size_t appended = 0;
   for (uint64_t r = first_block * interval; r < rank_end; ++r) {
     uint64_t raw = 0;
-    GetVarint64(stream, header_.leaf_stream_bytes, &pos, &raw);
+    if (!reader.Next(&raw)) return reader.status();
     if (r % interval == 0) {
       v = raw;  // block-leading absolute value
     } else {
@@ -352,65 +526,56 @@ Status CompressedSubTree::DecodeLeafRange(uint64_t rank_begin, uint64_t count,
   return Status::OK();
 }
 
-StatusOr<CountedTree> CompressedSubTree::Inflate() const {
+StatusOr<CountedTree> ServedSubTree::Inflate() const {
   std::vector<uint64_t> leaves;
-  leaves.reserve(header_.leaf_count);
-  ERA_RETURN_NOT_OK(DecodeLeafRange(0, header_.leaf_count, nullptr,
-                                    static_cast<std::size_t>(-1), &leaves));
+  if (compressed()) {
+    leaves.reserve(layout_->leaf_count);
+    ERA_RETURN_NOT_OK(DecodeLeafRange(0, layout_->leaf_count, nullptr,
+                                      static_cast<std::size_t>(-1), &leaves));
+  }
   CountedTree out;
-  out.mutable_nodes().resize(node_count_);
-  for (uint32_t i = 0; i < node_count_; ++i) {
-    const NodeView v = node(i);
+  out.mutable_nodes().resize(size());
+  for (uint32_t i = 0; i < size(); ++i) {
+    ERA_ASSIGN_OR_RETURN(const NodeView v, node(i));
     CountedNode& dst = out.mutable_nodes()[i];
     dst.edge_start = v.edge_start;
     dst.edge_len = v.edge_len;
     dst.children_begin = v.children_begin;
     dst.num_children = v.num_children;
     dst.reserved = 0;
-    dst.leaf_or_count = v.IsLeaf() ? leaves[v.leaf_ref] : v.count;
+    if (!v.IsLeaf()) {
+      dst.leaf_or_count = v.count;
+    } else {
+      dst.leaf_or_count = compressed() ? leaves[v.leaf_ref] : v.leaf_ref;
+    }
   }
   return out;
-}
-
-NodeView ServedSubTree::node(uint32_t i) const {
-  if (compressed_) return packed_.node(i);
-  const CountedNode& u = counted_.node(i);
-  NodeView v;
-  v.edge_start = u.edge_start;
-  v.edge_len = u.edge_len;
-  v.count = u.LeafCount();
-  v.leaf_ref = u.IsLeaf() ? u.leaf_id() : 0;
-  v.children_begin = u.children_begin;
-  v.num_children = u.num_children;
-  return v;
 }
 
 Status ServedSubTree::CollectLeaves(uint32_t slot, const QueryContext* ctx,
                                     std::size_t limit,
                                     std::vector<uint64_t>* out) const {
   if (limit == 0) return Status::OK();
-  if (compressed_) {
-    const NodeView v = packed_.node(slot);
-    return packed_.DecodeLeafRange(v.leaf_ref, v.count, ctx, limit, out);
+  ERA_ASSIGN_OR_RETURN(const NodeView u, node(slot));
+  if (compressed()) {
+    return DecodeLeafRange(u.leaf_ref, u.count, ctx, limit, out);
   }
-  const CountedNode& u = counted_.node(slot);
   if (u.IsLeaf()) {
-    out->push_back(u.leaf_id());
+    out->push_back(u.leaf_ref);
     return Status::OK();
   }
   // Canonical layout: the strict descendants of `slot` are one contiguous
   // slot range starting at children_begin, so scan forward until the
   // subtree's leaves are exhausted.
-  uint64_t remaining = u.LeafCount();
+  uint64_t remaining = u.count;
   std::size_t appended = 0;
-  for (uint32_t i = u.children_begin; remaining > 0 && i < counted_.size();
-       ++i) {
+  for (uint32_t i = u.children_begin; remaining > 0 && i < size(); ++i) {
     if (ctx != nullptr && (i % kCtxCheckStride) == 0) {
       ERA_RETURN_NOT_OK(ctx->Check());
     }
-    const CountedNode& c = counted_.node(i);
+    ERA_ASSIGN_OR_RETURN(const NodeView c, node(i));
     if (c.IsLeaf()) {
-      out->push_back(c.leaf_id());
+      out->push_back(c.leaf_ref);
       --remaining;
       if (++appended >= limit) break;
     }
@@ -425,7 +590,7 @@ Status ServedSubTree::CollectLeafSlices(const std::vector<uint32_t>& slots,
   slices->assign(slots.size(), LeafSlice{});
   if (slots.empty()) return Status::OK();
 
-  if (compressed_) {
+  if (compressed()) {
     // v3: each slot's leaves are the contiguous leaf-rank range
     // [leaf_ref, leaf_ref + count). Laminar ranges sorted by start are
     // either nested in the previous maximal run or start at/after its end,
@@ -438,7 +603,7 @@ Status ServedSubTree::CollectLeafSlices(const std::vector<uint32_t>& slots,
     };
     std::vector<Req> reqs(slots.size());
     for (std::size_t i = 0; i < slots.size(); ++i) {
-      const NodeView v = packed_.node(slots[i]);
+      ERA_ASSIGN_OR_RETURN(const NodeView v, node(slots[i]));
       reqs[i] = Req{v.leaf_ref, v.count, i};
     }
     std::sort(reqs.begin(), reqs.end(), [](const Req& a, const Req& b) {
@@ -455,8 +620,9 @@ Status ServedSubTree::CollectLeafSlices(const std::vector<uint32_t>& slots,
         run_begin = req.begin;
         run_end = req.begin + req.count;
         run_base = buffer->size();
-        ERA_RETURN_NOT_OK(packed_.DecodeLeafRange(
-            req.begin, req.count, ctx, static_cast<std::size_t>(-1), buffer));
+        ERA_RETURN_NOT_OK(DecodeLeafRange(req.begin, req.count, ctx,
+                                          static_cast<std::size_t>(-1),
+                                          buffer));
       }
       (*slices)[req.idx] =
           LeafSlice{run_base + static_cast<std::size_t>(req.begin - run_begin),
@@ -478,9 +644,9 @@ Status ServedSubTree::CollectLeafSlices(const std::vector<uint32_t>& slots,
   };
   std::vector<Req> reqs(slots.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    const CountedNode& u = counted_.node(slots[i]);
+    ERA_ASSIGN_OR_RETURN(const NodeView u, node(slots[i]));
     reqs[i] = u.IsLeaf() ? Req{slots[i], 1, i}
-                         : Req{u.children_begin, u.LeafCount(), i};
+                         : Req{u.children_begin, u.count, i};
   }
   std::sort(reqs.begin(), reqs.end(), [](const Req& a, const Req& b) {
     if (a.scan_begin != b.scan_begin) return a.scan_begin < b.scan_begin;
@@ -501,25 +667,18 @@ Status ServedSubTree::CollectLeafSlices(const std::vector<uint32_t>& slots,
         ++r;
       }
       if (buffer->size() >= need_end) break;  // run satisfied; skip the gap
-      if (pos >= counted_.size()) {
+      if (pos >= size()) {
         return Status::Corruption("leaf slices exceed sub-tree");
       }
       if (ctx != nullptr && (steps++ % kCtxCheckStride) == 0) {
         ERA_RETURN_NOT_OK(ctx->Check());
       }
-      const CountedNode& c = counted_.node(pos);
-      if (c.IsLeaf()) buffer->push_back(c.leaf_id());
+      ERA_ASSIGN_OR_RETURN(const NodeView c, node(pos));
+      if (c.IsLeaf()) buffer->push_back(c.leaf_ref);
       ++pos;
     }
   }
   return Status::OK();
-}
-
-StatusOr<CountedTree> ServedSubTree::Inflate() const {
-  if (compressed_) return packed_.Inflate();
-  CountedTree copy;
-  copy.mutable_nodes() = counted_.nodes();
-  return copy;
 }
 
 }  // namespace era

@@ -1,7 +1,7 @@
-// Format-v3 compressed sub-tree: the serving form that is cached without
-// inflating back to CountedNode.
+// Serving form of a sub-tree: one decoder over the file's bytes, wherever
+// those bytes live.
 //
-// On-disk payload (after the shared 32-byte file header + prefix bytes):
+// Format-v3 payload (after the shared 32-byte file header + prefix bytes):
 //
 //   [PackedHeader]                 72 bytes, POD, little-endian
 //   [bit-packed node records]      node i at bit i * record_bits; fields in
@@ -26,26 +26,49 @@
 // That turns CollectLeaves into a lazy range decode of the leaf stream —
 // restart-seek to the first block, stop after `limit` values — and keeps
 // Count a pure record read (`count` is the stored subtree leaf count).
+// Format-v2 files store fixed 32-byte CountedNode records instead; v1 files
+// are converted to the v2 layout when they are read.
 //
-// Everything here is validated once in FromPayload (widths match recorded
-// maxima, structural pass mirroring ValidateCountedLayout, leaf-stream
-// restarts and monotone block structure); after that node()/LeafId() are
-// infallible and DecodeLeafRange only fails on cancellation.
+// Validation and reads:
+//   * A file is validated whole exactly once, when it is attached
+//     (serializer.h ReadSubTreeImage): its CRC, then every structural check
+//     (v3: widths match recorded maxima, the counted-layout sweep, leaf-stream
+//     restarts and block structure; v2: ValidateCountedLayout). Attach also
+//     records the CRC-32C of every 4 KiB block of the file.
+//   * A ServedSubTree then reads the file through one accessor: either the
+//     whole validated image held in memory (ReadServedSubTree — tools, the
+//     validator, tests), or 4 KiB blocks of the file fetched through the
+//     serving TileCache (TreeIndex::OpenSubTree). Each block a cache miss
+//     loads from the device is checked against the attach-time CRC table,
+//     so a file rewritten after attach fails with Corruption rather than
+//     decoding unvalidated bytes.
+//   * Hence node(), LeafIdOf(), DecodeLeafRange() and the leaf collectors
+//     are fallible: a block load can fail (Corruption, IOError) or be
+//     abandoned (DeadlineExceeded, Cancelled). Over an all-resident image
+//     they cannot fail.
 
 #ifndef ERA_SUFFIXTREE_COMPRESSED_TREE_H_
 #define ERA_SUFFIXTREE_COMPRESSED_TREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/codec.h"
 #include "common/status.h"
+#include "io/tile_cache.h"
 #include "suffixtree/tree_buffer.h"
 
 namespace era {
 
 struct QueryContext;
+
+/// Blocks a served sub-tree file is cached in, and the overlap tail stored
+/// with each block: every record or varint the decoder reads (at most 48
+/// bytes) that starts in a block decodes from that block alone.
+inline constexpr uint32_t kSubTreeBlockBytes = 4096;
+inline constexpr uint32_t kSubTreeBlockOverlap = 64;
 
 /// Fixed per-subtree header at the start of a v3 payload.
 struct PackedHeader {
@@ -70,12 +93,12 @@ struct PackedHeader {
 
 static_assert(sizeof(PackedHeader) == 72, "PackedHeader must stay 72 bytes");
 
-/// Decoded view of one packed node. Mirrors CountedNode plus the leaf
-/// reference; cheap to return by value.
+/// Decoded view of one node. Mirrors CountedNode plus the leaf reference;
+/// cheap to return by value.
 struct NodeView {
   uint64_t edge_start = 0;
   uint64_t count = 0;     // leaves in this node's subtree (1 for a leaf)
-  uint64_t leaf_ref = 0;  // see file comment
+  uint64_t leaf_ref = 0;  // v3: see file comment; v2: the leaf's suffix
   uint32_t edge_len = 0;
   uint32_t children_begin = 0;
   uint32_t num_children = 0;
@@ -83,61 +106,42 @@ struct NodeView {
   bool IsLeaf() const { return num_children == 0; }
 };
 
-/// A validated v3 payload served in place: random node access via BitReader,
-/// lazy leaf-range decode via the restart array. Immutable after FromPayload.
+/// Where the records and leaves of one validated sub-tree file sit, by byte
+/// offset into the file image.
+struct SubTreeLayout {
+  bool packed = false;  // v3 records (else v2 32-byte CountedNode records)
+  uint32_t node_count = 0;
+  uint64_t leaf_count = 0;
+  uint64_t image_bytes = 0;  // size of the served image
+  uint64_t records_off = 0;
+  // v3 only.
+  PackedHeader header;
+  uint32_t record_bits = 0;  // sum of the six field widths
+  uint64_t restarts_off = 0;
+  uint64_t leaves_off = 0;
+};
+
+class ServedSubTree;
+
+/// Format-v3 codec: encoding, and the attach-time validation of a payload.
 class CompressedSubTree {
  public:
-  CompressedSubTree() = default;
-  CompressedSubTree(CompressedSubTree&&) = default;
-  CompressedSubTree& operator=(CompressedSubTree&&) = default;
-
   /// Encodes `tree` (canonical counted layout; caller has validated it) into
   /// a v3 payload. Deterministic: same tree, same bytes.
   static std::string EncodePayload(const CountedTree& tree);
 
-  /// Parses + fully validates a payload of `node_count` nodes. Returns
-  /// Corruption on any structural or size inconsistency. Takes the payload
-  /// by value and keeps it (plus reader pad) as the resident blob.
-  static StatusOr<CompressedSubTree> FromPayload(std::string payload,
-                                                 uint64_t node_count);
+  /// Fully validates the v3 payload of `node_count` nodes at
+  /// `image[payload_off, payload_off + payload_bytes)`; `image` must be
+  /// followed by kSubTreeBlockOverlap readable bytes. Returns Corruption on
+  /// any structural or size inconsistency.
+  static StatusOr<SubTreeLayout> Validate(const char* image,
+                                          uint64_t payload_off,
+                                          uint64_t payload_bytes,
+                                          uint64_t node_count);
 
-  uint32_t size() const { return node_count_; }
-  uint64_t LeafCount() const { return header_.leaf_count; }
-  /// Resident bytes — what the byte-budgeted cache charges.
-  uint64_t MemoryBytes() const { return blob_.size() + sizeof(*this); }
-  /// Payload bytes as stored on disk (no reader pad).
-  uint64_t PayloadBytes() const { return payload_bytes_; }
-
-  /// Decodes node `i` (i < size(); infallible post-validation).
-  NodeView node(uint32_t i) const;
-
-  /// Suffix offset of the leaf with slot-order rank `rank` (< LeafCount()).
-  uint64_t LeafId(uint64_t rank) const;
-
-  /// Appends the suffix offsets of leaf ranks [rank_begin, rank_begin +
-  /// count) to `out`, in slot order, stopping early once `limit` total
-  /// values have been appended this call. `ctx` (nullable) is checked
-  /// periodically; its error aborts the decode.
-  Status DecodeLeafRange(uint64_t rank_begin, uint64_t count,
-                         const QueryContext* ctx, std::size_t limit,
-                         std::vector<uint64_t>* out) const;
-
-  /// Exact reconstruction of the counted form this payload was encoded from
-  /// (byte-identical nodes). Used by consumers that need CountedNode — the
-  /// validator, TRELLIS merge, v3→v2 conversion.
-  StatusOr<CountedTree> Inflate() const;
-
-  const PackedHeader& header() const { return header_; }
-
- private:
-  std::string blob_;  // payload + kBitReaderPadBytes zero tail
-  PackedHeader header_;
-  uint64_t payload_bytes_ = 0;
-  uint64_t records_off_ = 0;   // byte offset of packed records in blob_
-  uint64_t restarts_off_ = 0;  // byte offset of the restart array
-  uint64_t leaves_off_ = 0;    // byte offset of the leaf stream
-  uint32_t node_count_ = 0;
-  uint32_t record_bits_ = 0;   // sum of the six field widths
+  /// Validates a bare payload and serves it all-resident.
+  static StatusOr<ServedSubTree> FromPayload(std::string payload,
+                                             uint64_t node_count);
 };
 
 /// One request's answer inside a shared leaf buffer: `buffer[offset,
@@ -148,40 +152,52 @@ struct LeafSlice {
   std::size_t count = 0;
 };
 
-/// What TreeIndex caches and the query path walks: either a CountedTree
-/// (v1/v2 files) or a CompressedSubTree (v3 files), behind one NodeView
-/// cursor API so MatchInSubTree/CollectLeaves never branch on format except
-/// through this type.
+/// What the query path walks: a validated v2 or v3 sub-tree behind one
+/// NodeView cursor API, read through one byte accessor — an all-resident
+/// image or 4 KiB blocks of the file in the serving TileCache (see the
+/// file comment). A view is cheap to copy. It caches the block it last
+/// read, so one view must not be used by two threads at once; every
+/// TreeIndex::OpenSubTree call returns a fresh view.
 class ServedSubTree {
  public:
   ServedSubTree() = default;
-  explicit ServedSubTree(CountedTree tree)
-      : counted_(std::move(tree)), compressed_(false) {}
-  explicit ServedSubTree(CompressedSubTree tree)
-      : packed_(std::move(tree)), compressed_(true) {}
-  ServedSubTree(ServedSubTree&&) = default;
-  ServedSubTree& operator=(ServedSubTree&&) = default;
+  /// All-resident: `image` is the whole file image followed by
+  /// kSubTreeBlockOverlap readable bytes; `owner` keeps it and `layout`
+  /// alive.
+  ServedSubTree(const SubTreeLayout* layout, const char* image,
+                std::shared_ptr<const void> owner);
+  /// Block-backed: blocks of `file` come from `cache`; `owner` keeps the
+  /// layout, the cache and the file's registration alive. `ctx` (borrowed,
+  /// may be null) bounds every block load and must outlive the view's reads.
+  ServedSubTree(const SubTreeLayout* layout, TileCache* cache,
+                const TileFile* file, std::shared_ptr<const void> owner,
+                const QueryContext* ctx);
 
-  bool compressed() const { return compressed_; }
-
+  bool compressed() const { return layout_->packed; }
   uint32_t size() const {
-    return compressed_ ? packed_.size() : counted_.size();
+    return layout_ == nullptr ? 0 : layout_->node_count;
   }
-  uint64_t LeafCount() const {
-    return compressed_ ? packed_.LeafCount() : counted_.LeafCount();
-  }
-  /// Resident bytes — the cache charge. This is where v3 wins: the packed
-  /// blob instead of 32 bytes/node.
-  uint64_t MemoryBytes() const {
-    return compressed_ ? packed_.MemoryBytes() : counted_.MemoryBytes();
-  }
+  uint64_t LeafCount() const { return layout_->leaf_count; }
+  /// Bytes of the served image (v3: the packed file; v2: 32 bytes/node) —
+  /// what holding the whole sub-tree in memory costs.
+  uint64_t MemoryBytes() const { return layout_->image_bytes; }
 
-  NodeView node(uint32_t i) const;
+  /// Decodes node `i` (i < size()).
+  StatusOr<NodeView> node(uint32_t i) const;
 
   /// Suffix offset of leaf `v` (v.IsLeaf() must hold).
-  uint64_t LeafIdOf(const NodeView& v) const {
-    return compressed_ ? packed_.LeafId(v.leaf_ref) : v.leaf_ref;
+  StatusOr<uint64_t> LeafIdOf(const NodeView& v) const {
+    return compressed() ? LeafId(v.leaf_ref) : StatusOr<uint64_t>(v.leaf_ref);
   }
+  /// v3: suffix offset of the leaf with slot-order rank `rank`.
+  StatusOr<uint64_t> LeafId(uint64_t rank) const;
+
+  /// v3: appends the suffix offsets of leaf ranks [rank_begin, rank_begin +
+  /// count) to `out`, in slot order, stopping early once `limit` values
+  /// have been appended this call. `ctx` (nullable) is checked periodically.
+  Status DecodeLeafRange(uint64_t rank_begin, uint64_t count,
+                         const QueryContext* ctx, std::size_t limit,
+                         std::vector<uint64_t>* out) const;
 
   /// Appends the suffix offsets of all leaves under slot `slot` to `out`
   /// (slot order), stopping after `limit` appended values. `ctx` nullable.
@@ -203,17 +219,49 @@ class ServedSubTree {
                            std::vector<uint64_t>* buffer,
                            std::vector<LeafSlice>* slices) const;
 
-  /// Counted form (inflates v3; cheap reference for v1/v2).
+  /// Exact reconstruction of the counted form (byte-identical nodes). Used
+  /// by consumers that need CountedNode — the validator, v3→v2 conversion.
   StatusOr<CountedTree> Inflate() const;
 
-  /// Direct access for counted-backed trees only (compressed() == false).
-  const CountedTree& counted() const { return counted_; }
-  const CompressedSubTree& packed() const { return packed_; }
-
  private:
-  CountedTree counted_;
-  CompressedSubTree packed_;
-  bool compressed_ = false;
+  friend class CompressedSubTree;  // Validate reads through the accessor
+
+  /// The one byte accessor: a pointer to image offset `off` and, in
+  /// `*avail`, how many bytes from it are readable without another fetch.
+  /// Null, with `*error` set, when a block load fails.
+  const char* Span(uint64_t off, uint64_t* avail, Status* error) const {
+    if (image_ != nullptr) {
+      *avail = layout_->image_bytes + kSubTreeBlockOverlap - off;
+      return image_ + off;
+    }
+    return BlockSpan(off, avail, error);
+  }
+  const char* BlockSpan(uint64_t off, uint64_t* avail, Status* error) const;
+  /// `n` (<= kSubTreeBlockOverlap) readable bytes at `off`, zero-padded past
+  /// end-of-file; valid until the next read on this view.
+  StatusOr<const char*> Bytes(uint64_t off, uint32_t n) const;
+  StatusOr<uint64_t> Restart(uint64_t block) const;
+  /// Sequential varint reader over the v3 leaf stream.
+  class LeafReader;
+
+  /// A recently read block, kept pinned: a descent revisits a handful of
+  /// blocks, and a pinned one costs no cache lookup.
+  struct Pin {
+    uint64_t index = ~0ull;
+    std::shared_ptr<const CachedTile> block;
+  };
+  static constexpr std::size_t kPins = 8;
+
+  const SubTreeLayout* layout_ = nullptr;
+  const char* image_ = nullptr;  // all-resident case
+  TileCache* cache_ = nullptr;   // block-backed case
+  const TileFile* file_ = nullptr;
+  std::shared_ptr<const void> owner_;
+  const QueryContext* ctx_ = nullptr;
+  mutable Pin pins_[kPins];
+  mutable std::size_t next_pin_ = 0;
+  /// Reads that run into end-of-file are copied here, zero-padded.
+  mutable char tail_[kSubTreeBlockOverlap];
 };
 
 }  // namespace era

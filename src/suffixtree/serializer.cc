@@ -66,6 +66,69 @@ Status WritePayload(Env* env, const std::string& path,
   return Status::OK();
 }
 
+/// Reads the whole file at `path` into `image` and validates what every
+/// version shares: magic, version, prefix bounds, the payload's size and CRC
+/// and a non-empty node count. `*payload_off`/`*payload_bytes` locate the
+/// payload in the image. `file_out` (optional) keeps the opened file.
+Status ReadFileImage(Env* env, const std::string& path, std::string* image,
+                     Header* header, uint64_t* payload_off,
+                     uint64_t* payload_bytes, std::string* prefix_out,
+                     IoStats* stats,
+                     std::unique_ptr<RandomAccessFile>* file_out) {
+  ERA_ASSIGN_OR_RETURN(auto file, env->OpenRandomAccess(path));
+  const uint64_t file_size = file->Size();
+  image->resize(file_size);
+  std::size_t got = 0;
+  ERA_RETURN_NOT_OK(file->Read(0, file_size, image->data(), &got));
+  image->resize(got);
+  if (got < sizeof(*header) ||
+      std::memcmp(image->data(), kMagic, sizeof(kMagic)) != 0) {
+    return Status::Corruption("bad sub-tree magic in " + path);
+  }
+  std::memcpy(header, image->data(), sizeof(*header));
+  if (header->version != kVersionLinked &&
+      header->version != kVersionCounted &&
+      header->version != kVersionPacked) {
+    return Status::NotSupported("unsupported sub-tree version in " + path);
+  }
+  if (sizeof(*header) + header->prefix_len > got) {
+    return Status::Corruption("truncated prefix in " + path);
+  }
+  const std::string prefix(image->data() + sizeof(*header),
+                           header->prefix_len);
+  *payload_off = sizeof(*header) + prefix.size();
+  if (header->version == kVersionPacked) {
+    // v3 payload size is whatever follows the prefix; the packed decoder
+    // cross-checks it against the node count and recorded section sizes.
+    *payload_bytes = got - *payload_off;
+  } else {
+    static_assert(sizeof(TreeNode) == sizeof(CountedNode),
+                  "both node formats are 32 bytes");
+    // Guard the size arithmetic against a corrupt count before trusting it.
+    if (header->node_count > got / sizeof(TreeNode) ||
+        *payload_off + header->node_count * sizeof(TreeNode) > got) {
+      return Status::Corruption("truncated node array in " + path);
+    }
+    *payload_bytes = header->node_count * sizeof(TreeNode);
+  }
+  const uint32_t crc = PayloadCrc(header->version, prefix,
+                                  image->data() + *payload_off,
+                                  *payload_bytes);
+  if (crc != header->crc) {
+    return Status::Corruption("CRC mismatch in " + path);
+  }
+  if (header->node_count == 0) {
+    return Status::Corruption("empty sub-tree in " + path);
+  }
+  if (prefix_out != nullptr) *prefix_out = prefix;
+  if (stats != nullptr) {
+    stats->bytes_read += *payload_off + *payload_bytes;
+    ++stats->seeks;  // sub-tree loads are random accesses
+  }
+  if (file_out != nullptr) *file_out = std::move(file);
+  return Status::OK();
+}
+
 /// Reads header + prefix + payload (validating magic, version, CRC and a
 /// non-empty node count). Exactly one of `v1_nodes`/`v2_nodes`/`v3_payload`
 /// is filled, selected by the version on disk; `*version_out` reports which.
@@ -76,76 +139,24 @@ Status ReadPayload(Env* env, const std::string& path,
                    std::vector<CountedNode>* v2_nodes, std::string* v3_payload,
                    uint64_t* node_count_out, uint32_t* version_out,
                    std::string* prefix_out, IoStats* stats) {
-  ERA_ASSIGN_OR_RETURN(auto file, env->OpenRandomAccess(path));
+  std::string image;
   Header header;
-  std::size_t got = 0;
-  ERA_RETURN_NOT_OK(file->Read(0, sizeof(header),
-                               reinterpret_cast<char*>(&header), &got));
-  if (got != sizeof(header) ||
-      std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption("bad sub-tree magic in " + path);
-  }
-  if (header.version != kVersionLinked && header.version != kVersionCounted &&
-      header.version != kVersionPacked) {
-    return Status::NotSupported("unsupported sub-tree version in " + path);
-  }
-
-  const uint64_t file_size = file->Size();
-  if (sizeof(header) + header.prefix_len > file_size) {
-    return Status::Corruption("truncated prefix in " + path);
-  }
-  std::string prefix(header.prefix_len, '\0');
-  ERA_RETURN_NOT_OK(
-      file->Read(sizeof(header), prefix.size(), prefix.data(), &got));
-  if (got != prefix.size()) {
-    return Status::Corruption("truncated prefix in " + path);
-  }
-
-  std::size_t payload_bytes;
-  char* payload_dst;
+  uint64_t payload_off = 0;
+  uint64_t payload_bytes = 0;
+  ERA_RETURN_NOT_OK(ReadFileImage(env, path, &image, &header, &payload_off,
+                                  &payload_bytes, prefix_out, stats, nullptr));
+  const char* payload = image.data() + payload_off;
   if (header.version == kVersionPacked) {
-    // v3 payload size is whatever follows the prefix; the packed decoder
-    // cross-checks it against the node count and recorded section sizes.
-    payload_bytes = file_size - sizeof(header) - prefix.size();
-    v3_payload->resize(payload_bytes);
-    payload_dst = v3_payload->data();
+    v3_payload->assign(payload, payload_bytes);
+  } else if (header.version == kVersionLinked) {
+    v1_nodes->resize(header.node_count);
+    std::memcpy(v1_nodes->data(), payload, payload_bytes);
   } else {
-    static_assert(sizeof(TreeNode) == sizeof(CountedNode),
-                  "both node formats are 32 bytes");
-    // Guard the allocation below against a corrupt count before trusting it.
-    if (header.node_count > file_size / sizeof(TreeNode)) {
-      return Status::Corruption("node count exceeds file size in " + path);
-    }
-    payload_bytes = header.node_count * sizeof(TreeNode);
-    if (header.version == kVersionLinked) {
-      v1_nodes->resize(header.node_count);
-      payload_dst = reinterpret_cast<char*>(v1_nodes->data());
-    } else {
-      v2_nodes->resize(header.node_count);
-      payload_dst = reinterpret_cast<char*>(v2_nodes->data());
-    }
-  }
-  ERA_RETURN_NOT_OK(file->Read(sizeof(header) + prefix.size(), payload_bytes,
-                               payload_dst, &got));
-  if (got != payload_bytes) {
-    return Status::Corruption("truncated node array in " + path);
-  }
-
-  uint32_t crc = PayloadCrc(header.version, prefix, payload_dst,
-                            payload_bytes);
-  if (crc != header.crc) {
-    return Status::Corruption("CRC mismatch in " + path);
-  }
-  if (header.node_count == 0) {
-    return Status::Corruption("empty sub-tree in " + path);
+    v2_nodes->resize(header.node_count);
+    std::memcpy(v2_nodes->data(), payload, payload_bytes);
   }
   if (node_count_out != nullptr) *node_count_out = header.node_count;
   *version_out = header.version;
-  if (prefix_out != nullptr) *prefix_out = std::move(prefix);
-  if (stats != nullptr) {
-    stats->bytes_read += sizeof(header) + header.prefix_len + payload_bytes;
-    ++stats->seeks;  // sub-tree loads are random accesses
-  }
   return Status::OK();
 }
 
@@ -239,34 +250,67 @@ Status ReadCountedSubTree(Env* env, const std::string& path, CountedTree* tree,
   return Status::OK();
 }
 
-Status ReadServedSubTree(Env* env, const std::string& path,
-                         ServedSubTree* tree, std::string* prefix_out,
-                         IoStats* stats) {
-  std::vector<TreeNode> v1_nodes;
-  CountedTree counted;
-  std::string v3_payload;
-  uint64_t node_count = 0;
-  uint32_t version = 0;
-  ERA_RETURN_NOT_OK(ReadPayload(env, path, &v1_nodes,
-                                &counted.mutable_nodes(), &v3_payload,
-                                &node_count, &version, prefix_out, stats));
-  if (version == kVersionPacked) {
-    auto packed =
-        CompressedSubTree::FromPayload(std::move(v3_payload), node_count);
+Status ReadSubTreeImage(Env* env, const std::string& path,
+                        SubTreeImage* out, IoStats* stats,
+                        std::unique_ptr<RandomAccessFile>* file_out) {
+  std::string& image = out->bytes;
+  Header header;
+  uint64_t payload_off = 0;
+  uint64_t payload_bytes = 0;
+  ERA_RETURN_NOT_OK(ReadFileImage(env, path, &image, &header, &payload_off,
+                                  &payload_bytes, &out->prefix, stats,
+                                  file_out));
+  out->version = header.version;
+  if (header.version == kVersionPacked) {
+    image.append(kSubTreeBlockOverlap, '\0');
+    auto packed = CompressedSubTree::Validate(image.data(), payload_off,
+                                              payload_bytes,
+                                              header.node_count);
     if (!packed.ok()) {
       return packed.status().WithContext("packed sub-tree " + path);
     }
-    *tree = ServedSubTree(std::move(packed).value());
+    out->layout = *packed;
     return Status::OK();
   }
-  if (version == kVersionLinked) {
+  CountedTree counted;
+  if (header.version == kVersionLinked) {
+    // Legacy linked records: converted once, served as v2 records held in
+    // memory (never block-served — the file's bytes are not v2 records).
     TreeBuffer linked;
-    linked.mutable_nodes() = std::move(v1_nodes);
+    linked.mutable_nodes().resize(header.node_count);
+    std::memcpy(linked.mutable_nodes().data(), image.data() + payload_off,
+                payload_bytes);
     ERA_ASSIGN_OR_RETURN(counted, BuildCountedTree(linked));
-  } else if (Status s = ValidateCountedLayout(counted); !s.ok()) {
-    return Status::Corruption(s.message() + " in " + path);
+    image.assign(reinterpret_cast<const char*>(counted.nodes().data()),
+                 counted.size() * sizeof(CountedNode));
+    payload_off = 0;
+  } else {
+    counted.mutable_nodes().resize(header.node_count);
+    std::memcpy(counted.mutable_nodes().data(), image.data() + payload_off,
+                payload_bytes);
+    if (Status s = ValidateCountedLayout(counted); !s.ok()) {
+      return Status::Corruption(s.message() + " in " + path);
+    }
   }
-  *tree = ServedSubTree(std::move(counted));
+  SubTreeLayout& layout = out->layout;
+  layout.packed = false;
+  layout.node_count = counted.size();
+  layout.leaf_count = counted.LeafCount();
+  layout.records_off = payload_off;
+  layout.image_bytes = payload_off + counted.size() * sizeof(CountedNode);
+  image.append(kSubTreeBlockOverlap, '\0');
+  return Status::OK();
+}
+
+Status ReadServedSubTree(Env* env, const std::string& path,
+                         ServedSubTree* tree, std::string* prefix_out,
+                         IoStats* stats) {
+  auto image = std::make_shared<SubTreeImage>();
+  ERA_RETURN_NOT_OK(ReadSubTreeImage(env, path, image.get(), stats, nullptr));
+  if (prefix_out != nullptr) *prefix_out = image->prefix;
+  const SubTreeLayout* layout = &image->layout;
+  const char* bytes = image->bytes.data();
+  *tree = ServedSubTree(layout, bytes, std::move(image));
   return Status::OK();
 }
 

@@ -10,15 +10,16 @@
 //     width-minimal counted records plus a delta/varint leaf stream (see
 //     suffixtree/compressed_tree.h). The default for all builders.
 //
-// Any version can be read into any in-memory form: ReadServedSubTree is the
-// serving path (v3 stays compressed, v1/v2 inflate to CountedTree);
-// ReadCountedSubTree and ReadSubTree convert as needed for consumers that
-// operate on CountedNode / the linked form (validator, TRELLIS merge,
-// legacy tests).
+// Any version can be read into any in-memory form: ReadSubTreeImage is the
+// serving path's attach step (validate once, then serve v3/v2 records in
+// place; v1 converts to v2 records); ReadCountedSubTree and ReadSubTree
+// convert as needed for consumers that operate on CountedNode / the linked
+// form (validator, TRELLIS merge, legacy tests).
 
 #ifndef ERA_SUFFIXTREE_SERIALIZER_H_
 #define ERA_SUFFIXTREE_SERIALIZER_H_
 
+#include <memory>
 #include <string>
 
 #include "common/status.h"
@@ -67,10 +68,28 @@ Status ReadSubTree(Env* env, const std::string& path, TreeBuffer* tree,
 Status ReadCountedSubTree(Env* env, const std::string& path, CountedTree* tree,
                           std::string* prefix_out, IoStats* stats);
 
-/// Reads a sub-tree (any version) into the serving form TreeIndex caches:
-/// v3 files stay compressed (no CountedNode inflation — the cache charges
-/// the packed size), v1/v2 files load as counted trees. All versions are
-/// structure-validated before any query walks them.
+/// A sub-tree file read whole and fully validated — the attach step of
+/// serving (see compressed_tree.h).
+struct SubTreeImage {
+  /// The validated file image followed by kSubTreeBlockOverlap zero bytes.
+  /// v1 files are converted: the image is their v2 node records alone.
+  std::string bytes;
+  SubTreeLayout layout;
+  std::string prefix;
+  uint32_t version = 0;  // as stored on disk
+};
+
+/// Reads `path` whole and validates it: magic, version, CRC, then every
+/// structural check of its version (v3: CompressedSubTree::Validate; v2:
+/// ValidateCountedLayout; v1: conversion). `file_out` (optional) receives
+/// the opened file, for serving its blocks afterwards.
+Status ReadSubTreeImage(Env* env, const std::string& path, SubTreeImage* out,
+                        IoStats* stats,
+                        std::unique_ptr<RandomAccessFile>* file_out = nullptr);
+
+/// Reads a sub-tree (any version) into an all-resident serving form: the
+/// validated image held in memory. Tools, the validator and tests use it;
+/// TreeIndex serves the same decoder from cached blocks instead.
 Status ReadServedSubTree(Env* env, const std::string& path,
                          ServedSubTree* tree, std::string* prefix_out,
                          IoStats* stats);

@@ -1,5 +1,6 @@
 #include "suffixtree/tree_index.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -130,76 +131,185 @@ StatusOr<TreeIndex> TreeIndex::Load(Env* env, const std::string& dir) {
   return index;
 }
 
+struct TreeIndex::Handle {
+  SubTreeLayout layout;
+  std::shared_ptr<TileCache> cache;
+  /// Block-served files (v2, v3): the registration the views read through.
+  std::shared_ptr<const TileFile> file;
+  /// Converted legacy (v1) sub-trees: the image, held and charged to the
+  /// cache budget for the handle's lifetime.
+  std::string image;
+
+  ~Handle() {
+    if (file != nullptr) cache->RemoveFile(*file);
+    cache->Charge(-static_cast<int64_t>(image.size()));
+  }
+};
+
+TreeIndex::Cache::Cache(const TreeCacheOptions& opts)
+    : options(opts), shards(opts.shards == 0 ? 1 : opts.shards) {
+  TileCacheOptions block_options;
+  block_options.budget_bytes = std::max<uint64_t>(1, opts.budget_bytes);
+  block_options.tile_bytes = kSubTreeBlockBytes;
+  block_options.shards = opts.shards == 0 ? 1 : opts.shards;
+  block_options.retry = opts.retry;
+  // The options are valid by construction (4 KiB power-of-two tiles, a
+  // positive budget).
+  blocks = std::move(TileCache::Create(block_options)).value();
+}
+
+namespace {
+
+/// A wait that ended on another caller's deadline or cancellation (retry it
+/// under our own context).
+bool IsAbandon(const Status& s) {
+  return s.IsDeadlineExceeded() || s.IsCancelled();
+}
+
+}  // namespace
+
+StatusOr<std::shared_ptr<const TreeIndex::Handle>> TreeIndex::Attach(
+    Env* env, uint32_t id, IoStats* stats, const QueryContext* ctx) const {
+  // The device-read boundary: a dead query does not get to start an attach.
+  if (ctx != nullptr) ERA_RETURN_NOT_OK(ctx->Check());
+  const Cache& cache = *cache_;
+  const std::string path = dir_ + "/" + subtrees_[id].filename;
+  // Transient device errors are retried; Corruption fails straight through
+  // (and is never cached).
+  SubTreeImage image;
+  uint64_t retries = 0;
+  Status load = RunWithRetry(
+      cache.options.retry, ctx,
+      [&] {
+        image = SubTreeImage();
+        return ReadSubTreeImage(env, path, &image, stats);
+      },
+      &retries);
+  if (stats != nullptr) stats->read_retries += retries;
+  ERA_RETURN_NOT_OK(load);
+  if (image.prefix != subtrees_[id].prefix) {
+    return Status::Corruption("sub-tree prefix mismatch for id " +
+                              std::to_string(id));
+  }
+  auto handle = std::make_shared<Handle>();
+  handle->layout = image.layout;
+  handle->cache = cache.blocks;
+  if (image.version == 1) {
+    // A legacy file's bytes are not the records it is served as.
+    handle->image = std::move(image.bytes);
+    cache.blocks->Charge(static_cast<int64_t>(handle->image.size()));
+    return std::shared_ptr<const Handle>(std::move(handle));
+  }
+  // The per-block CRC table is taken from the bytes just validated: every
+  // later device load of a block must reproduce them.
+  const char* bytes = image.bytes.data();
+  const uint64_t file_bytes = image.bytes.size() - kSubTreeBlockOverlap;
+  const uint64_t blocks =
+      (file_bytes + kSubTreeBlockBytes - 1) / kSubTreeBlockBytes;
+  auto block_len = [&](uint64_t b) {
+    return static_cast<std::size_t>(
+        std::min<uint64_t>(kSubTreeBlockBytes + kSubTreeBlockOverlap,
+                           file_bytes - b * kSubTreeBlockBytes));
+  };
+  std::vector<uint32_t> crcs(blocks);
+  for (uint64_t b = 0; b < blocks; ++b) {
+    crcs[b] = Crc32c(bytes + b * kSubTreeBlockBytes, block_len(b));
+  }
+  ERA_ASSIGN_OR_RETURN(handle->file,
+                       cache.blocks->AddFile(env, path, kSubTreeBlockOverlap,
+                                             std::move(crcs)));
+  if (handle->file->size != file_bytes) {
+    return Status::Corruption("sub-tree file changed while attaching: " +
+                              path);
+  }
+  // Offer what was just read; the cache keeps it only where it has room.
+  for (uint64_t b = 0; b < blocks; ++b) {
+    cache.blocks->Admit(*handle->file, b, bytes + b * kSubTreeBlockBytes,
+                        block_len(b));
+  }
+  return std::shared_ptr<const Handle>(std::move(handle));
+}
+
 StatusOr<std::shared_ptr<const ServedSubTree>> TreeIndex::OpenSubTree(
     Env* env, uint32_t id, IoStats* stats, const QueryContext* ctx) const {
   if (id >= subtrees_.size()) {
     return Status::InvalidArgument("sub-tree id out of range");
   }
-  Cache& cache = *cache_;
-  Shard& shard = cache.shards[id % cache.shards.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(id);
-    if (it != shard.entries.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
+  Shard& shard = cache_->shards[id % cache_->shards.size()];
+  std::shared_ptr<const Handle> handle;
+  while (handle == nullptr) {
+    std::promise<StatusOr<std::shared_ptr<const Handle>>> promise;
+    std::shared_future<StatusOr<std::shared_ptr<const Handle>>> in_flight;
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      auto it = shard.handles.find(id);
+      if (it != shard.handles.end()) {
+        const TileFile* file = it->second->file.get();
+        if (file == nullptr || !file->damaged.load(std::memory_order_relaxed)) {
+          ++shard.hits;
+          if (stats != nullptr) ++stats->cache_hits;
+          handle = it->second;
+          break;
+        }
+        // A block failed its checksum since attach: the file on disk is
+        // not the one validated. Re-attach from scratch.
+        shard.handles.erase(it);
+      }
+      auto flight = shard.attaching.find(id);
+      if (flight != shard.attaching.end()) {
+        in_flight = flight->second;
+      } else {
+        shard.attaching.emplace(id, promise.get_future().share());
+      }
+    }
+    if (in_flight.valid()) {
+      // Single flight: concurrent first opens of an id share one attach.
+      if (ctx != nullptr) {
+        ERA_RETURN_NOT_OK(ctx->Check());
+        if (ctx->has_deadline() && in_flight.wait_until(ctx->deadline) ==
+                                       std::future_status::timeout) {
+          return ctx->Check();
+        }
+      }
+      const auto& attached = in_flight.get();
+      if (!attached.ok() && IsAbandon(attached.status())) continue;
+      ERA_RETURN_NOT_OK(attached.status());
+      std::lock_guard<std::mutex> lock(shard.mutex);
       ++shard.hits;
       if (stats != nullptr) ++stats->cache_hits;
-      return it->second.tree;
+      handle = *attached;
+      break;
     }
+    auto attached = Attach(env, id, stats, ctx);
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      shard.attaching.erase(id);
+      if (attached.ok()) {
+        ++shard.misses;
+        if (stats != nullptr) ++stats->cache_misses;
+        shard.handles[id] = *attached;
+      }
+    }
+    promise.set_value(attached);
+    ERA_RETURN_NOT_OK(attached.status());
+    handle = *attached;
   }
-
-  // Load outside the shard lock so a slow device never serializes the other
-  // ids of this shard (concurrent misses on the same id may duplicate the
-  // read; the insert below keeps exactly one copy). Transient device errors
-  // are retried; Corruption fails straight through (and is never inserted
-  // into the cache below).
-  // The device-read boundary: a cache hit above always succeeds, but a dead
-  // query does not get to start a sub-tree load.
-  if (ctx != nullptr) ERA_RETURN_NOT_OK(ctx->Check());
-  auto tree = std::make_shared<ServedSubTree>();
-  std::string prefix;
-  const std::string path = dir_ + "/" + subtrees_[id].filename;
-  uint64_t retries = 0;
-  Status load = RunWithRetry(
-      cache.options.retry, ctx,
-      [&] {
-        *tree = ServedSubTree();
-        return ReadServedSubTree(env, path, tree.get(), &prefix, stats);
-      },
-      &retries);
-  if (stats != nullptr) stats->read_retries += retries;
-  ERA_RETURN_NOT_OK(load);
-  if (prefix != subtrees_[id].prefix) {
-    return Status::Corruption("sub-tree prefix mismatch for id " +
-                              std::to_string(id));
+  const Handle& h = *handle;
+  if (h.file == nullptr) {
+    return std::make_shared<const ServedSubTree>(&h.layout, h.image.data(),
+                                                 std::move(handle));
   }
-  std::shared_ptr<const ServedSubTree> shared = std::move(tree);
-  const uint64_t bytes = shared->MemoryBytes();
+  return std::make_shared<const ServedSubTree>(
+      &h.layout, h.cache.get(), h.file.get(), std::move(handle), ctx);
+}
 
+bool TreeIndex::Attached(uint32_t id) const {
+  Shard& shard = cache_->shards[id % cache_->shards.size()];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.misses;
-  if (stats != nullptr) ++stats->cache_misses;
-  auto it = shard.entries.find(id);
-  if (it != shard.entries.end()) {
-    // Another thread inserted while we were loading; keep its copy.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.pos);
-    return it->second.tree;
-  }
-  shard.lru.push_front(id);
-  shard.entries.emplace(id, Shard::Entry{shared, shard.lru.begin(), bytes});
-  shard.resident_bytes += bytes;
-  while (shard.resident_bytes > cache.per_shard_budget &&
-         shard.entries.size() > 1) {
-    uint32_t victim = shard.lru.back();
-    auto vit = shard.entries.find(victim);
-    shard.resident_bytes -= vit->second.bytes;
-    shard.evicted_bytes += vit->second.bytes;
-    if (stats != nullptr) stats->cache_evicted_bytes += vit->second.bytes;
-    ++shard.evictions;
-    shard.lru.pop_back();
-    shard.entries.erase(vit);
-  }
-  return shared;
+  auto it = shard.handles.find(id);
+  return it != shard.handles.end() &&
+         (it->second->file == nullptr ||
+          !it->second->file->damaged.load(std::memory_order_relaxed));
 }
 
 void TreeIndex::ConfigureCache(const TreeCacheOptions& options) const {
@@ -208,11 +318,14 @@ void TreeIndex::ConfigureCache(const TreeCacheOptions& options) const {
 
 void TreeIndex::EvictCache() const {
   for (Shard& shard : cache_->shards) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.clear();
-    shard.lru.clear();
-    shard.resident_bytes = 0;
+    std::unordered_map<uint32_t, std::shared_ptr<const Handle>> dropped;
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      dropped.swap(shard.handles);
+    }
+    // Handles release their file registrations outside the shard lock.
   }
+  cache_->blocks->EvictAll();
 }
 
 TreeIndex::CacheSnapshot TreeIndex::CacheStats() const {
@@ -221,11 +334,14 @@ TreeIndex::CacheSnapshot TreeIndex::CacheStats() const {
     std::lock_guard<std::mutex> lock(shard.mutex);
     snap.hits += shard.hits;
     snap.misses += shard.misses;
-    snap.evictions += shard.evictions;
-    snap.evicted_bytes += shard.evicted_bytes;
-    snap.resident_bytes += shard.resident_bytes;
-    snap.resident_trees += shard.entries.size();
+    snap.resident_trees += shard.handles.size();
   }
+  const TileCache::Snapshot blocks = cache_->blocks->stats();
+  snap.evictions = blocks.evictions;
+  snap.evicted_bytes = blocks.evicted_bytes;
+  snap.resident_bytes = blocks.resident_bytes;
+  snap.block_hits = blocks.hits;
+  snap.block_misses = blocks.misses;
   return snap;
 }
 

@@ -165,7 +165,8 @@ Status ValidateSubTree(const ServedSubTree& tree, const std::string& text,
   ERA_RETURN_NOT_OK(ValidateSubTree(counted, text, prefix));
   // The cursor walk over the serving form (bit-packed field decode + lazy
   // leaf-slot ranges for v3) must agree with the inflated counted layout.
-  if (TreeToSaLcp(tree) != TreeToSaLcp(counted)) {
+  ERA_ASSIGN_OR_RETURN(const SaLcp walked, TryTreeToSaLcp(tree));
+  if (walked != TreeToSaLcp(counted)) {
     return Status::Corruption(
         "compressed cursor walk disagrees with inflated tree");
   }
@@ -210,7 +211,7 @@ Status ValidateIndex(Env* env, const TreeIndex& index,
         auto tree,
         index.OpenSubTree(env, static_cast<uint32_t>(id), nullptr));
     ERA_RETURN_NOT_OK(ValidateSubTree(*tree, text, entry.prefix));
-    SaLcp canon = TreeToSaLcp(*tree);
+    ERA_ASSIGN_OR_RETURN(const SaLcp canon, TryTreeToSaLcp(*tree));
     if (canon.sa.size() != entry.frequency) {
       return Status::Corruption("sub-tree frequency mismatch: " +
                                 entry.prefix);

@@ -521,7 +521,7 @@ int CmdBenchQuery(const std::vector<std::string>& args) {
   }
 
   TreeIndex::CacheSnapshot cache = (*engine)->cache();
-  const uint64_t lookups = cache.hits + cache.misses;
+  const uint64_t lookups = cache.block_hits + cache.block_misses;
   QueryStats stats = (*engine)->stats();
   std::printf(
       "threads=%u queries=%llu (count=%llu locate=%llu) wall=%.3fs "
@@ -531,10 +531,12 @@ int CmdBenchQuery(const std::vector<std::string>& args) {
       static_cast<unsigned long long>(replay->locate_queries),
       replay->wall_seconds, replay->qps);
   std::printf(
-      "cache: hit_rate=%.3f hits=%llu misses=%llu evictions=%llu "
-      "evicted=%lluB resident=%lluB/%llu trees\n",
-      lookups == 0 ? 0.0 : static_cast<double>(cache.hits) / lookups,
-      static_cast<unsigned long long>(cache.hits),
+      "cache: block_hit_rate=%.3f block_hits=%llu block_misses=%llu "
+      "attaches=%llu evictions=%llu evicted=%lluB resident=%lluB/%llu "
+      "trees\n",
+      lookups == 0 ? 0.0 : static_cast<double>(cache.block_hits) / lookups,
+      static_cast<unsigned long long>(cache.block_hits),
+      static_cast<unsigned long long>(cache.block_misses),
       static_cast<unsigned long long>(cache.misses),
       static_cast<unsigned long long>(cache.evictions),
       static_cast<unsigned long long>(cache.evicted_bytes),

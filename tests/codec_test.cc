@@ -244,7 +244,9 @@ TEST(CompressedPayloadTest, LazyLeafRangesMatchFullDecode) {
                   .ok());
   ASSERT_EQ(all.size(), packed->LeafCount());
   for (uint64_t rank = 0; rank < packed->LeafCount(); rank += 17) {
-    EXPECT_EQ(packed->LeafId(rank), all[rank]);
+    auto leaf = packed->LeafId(rank);
+    ASSERT_TRUE(leaf.ok());
+    EXPECT_EQ(*leaf, all[rank]);
   }
 
   std::mt19937_64 rng(99);

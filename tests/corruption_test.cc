@@ -2,14 +2,19 @@
 // into Corruption (never silent wrong answers), and the QueryEngine degrades
 // per-query — a damaged sub-tree quarantines itself while the rest of the
 // index keeps serving, and a repaired file serves again without a restart.
+// The block-served path is covered too: a block rewritten after its
+// sub-tree was attached fails its per-block checksum on the next load.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "era/era_builder.h"
+#include "io/latency_env.h"
 #include "io/mem_env.h"
 #include "query/query_engine.h"
 #include "suffixtree/serializer.h"
@@ -189,6 +194,115 @@ TEST(CorruptionTest, MissingSubTreeFileIsUnavailableNotFatal) {
   EXPECT_TRUE(count.status().IsUnavailable()) << count.status().ToString();
   auto healthy = (*engine)->Count(Built().subtrees[1].prefix + "A");
   EXPECT_TRUE(healthy.ok()) << healthy.status().ToString();
+}
+
+TEST(CorruptionTest, ResealedStructurallyBadFileIsRejectedAtAttach) {
+  MemEnv env;
+  Built().CloneInto(&env);
+  const SubTreeEntry& victim = Built().subtrees[0];
+  const std::string path = "/idx/" + victim.filename;
+  std::string bytes;
+  ASSERT_TRUE(env.ReadFileToString(path, &bytes).ok());
+  // Bump a declared field width in the packed header, then reseal the
+  // payload CRC so only the structural checks can catch it.
+  constexpr std::size_t kFileHeader = 32;
+  constexpr std::size_t kCrcOffset = 24;
+  const std::size_t payload = kFileHeader + victim.prefix.size();
+  bytes[payload + 60] = static_cast<char>(bytes[payload + 60] + 1);
+  const uint32_t crc =
+      Crc32c(bytes.data() + payload, bytes.size() - payload,
+             Crc32c(victim.prefix.data(), victim.prefix.size()));
+  std::memcpy(&bytes[kCrcOffset], &crc, sizeof(crc));
+  ASSERT_TRUE(env.WriteFile(path, bytes).ok());
+
+  auto index = TreeIndex::Load(&env, "/idx");
+  ASSERT_TRUE(index.ok());
+  auto opened = index->OpenSubTree(&env, 0, nullptr);
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  EXPECT_EQ(index->CacheStats().resident_trees, 0u);
+  auto engine = QueryEngine::Open(&env, "/idx");
+  ASSERT_TRUE(engine.ok());
+  EXPECT_TRUE((*engine)->Count(victim.prefix + "A").status().IsUnavailable());
+}
+
+/// Engine options whose cache holds no block beyond a single one per shard:
+/// attaches admit nothing, so every read after attach is a device load.
+QueryEngineOptions OneBlockCache() {
+  QueryEngineOptions options;
+  options.cache.budget_bytes = 4096;
+  options.cache.shards = 1;
+  return options;
+}
+
+TEST(CorruptionTest, BlockRewrittenAfterAttachFailsItsChecksumAndRecovers) {
+  MemEnv env;
+  Built().CloneInto(&env);
+  auto engine = QueryEngine::Open(&env, "/idx", OneBlockCache());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const SubTreeEntry& victim = Built().subtrees[0];
+  const std::string pattern = victim.prefix + "A";
+  auto expected = (*engine)->Count(pattern);  // attaches sub-tree 0
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ((*engine)->cache().resident_trees, 1u);
+
+  // Rewrite a byte of the first block (the root's records) on disk, with
+  // no block of the file resident: the next descent must load it.
+  const std::string path = "/idx/" + victim.filename;
+  std::string clean;
+  ASSERT_TRUE(env.ReadFileToString(path, &clean).ok());
+  std::string damaged = clean;
+  damaged[150] ^= 0x04;
+  ASSERT_TRUE(env.WriteFile(path, damaged).ok());
+  (*engine)->index().block_cache()->EvictAll();
+
+  auto count = (*engine)->Count(pattern);
+  ASSERT_TRUE(count.status().IsUnavailable()) << count.status().ToString();
+  EXPECT_NE(count.status().message().find("checksum"), std::string::npos)
+      << count.status().ToString();
+  auto quarantine = (*engine)->quarantine();
+  ASSERT_EQ(quarantine.size(), 1u);
+  EXPECT_EQ(quarantine.begin()->first, 0u);
+
+  // The failed block dropped the handle: the next open re-attaches, and the
+  // damaged file fails the whole-file checksum there.
+  auto again = (*engine)->Locate(pattern);
+  EXPECT_TRUE(again.status().IsUnavailable()) << again.status().ToString();
+  EXPECT_GE((*engine)->quarantine().at(0), 2u);
+
+  // Repaired on disk: the same engine serves the right answer again.
+  ASSERT_TRUE(env.WriteFile(path, clean).ok());
+  auto recovered = (*engine)->Count(pattern);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(*recovered, *expected);
+  auto located = (*engine)->Locate(pattern);
+  ASSERT_TRUE(located.ok()) << located.status().ToString();
+  EXPECT_EQ(located->size(), *expected);
+}
+
+TEST(CorruptionTest, DeadlineDuringBlockMissIsNotQuarantined) {
+  MemEnv base;
+  Built().CloneInto(&base);
+  LatencyModel slow;
+  slow.read_latency_seconds = 0.05;
+  LatencyEnv env(&base, slow);
+  auto engine = QueryEngine::Open(&env, "/idx", OneBlockCache());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::string pattern = Built().subtrees[0].prefix + "A";
+  ASSERT_TRUE((*engine)->Count(pattern).ok());  // attach, untimed
+  (*engine)->index().block_cache()->EvictAll();
+
+  // The deadline passes while the first block load is on the device; the
+  // query stops at its next boundary and the file is not blamed.
+  const QueryContext ctx = QueryContext::WithTimeout(0.02);
+  auto count = (*engine)->Count(ctx, pattern);
+  EXPECT_TRUE(count.status().IsDeadlineExceeded())
+      << count.status().ToString();
+  EXPECT_TRUE((*engine)->quarantine().empty());
+  EXPECT_EQ((*engine)->stats().unavailable_queries, 0u);
+  // The handle survived: a query with time to spare is a handle hit.
+  const uint64_t attaches = (*engine)->cache().misses;
+  EXPECT_TRUE((*engine)->Count(pattern).ok());
+  EXPECT_EQ((*engine)->cache().misses, attaches);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
 #include "era/era_builder.h"
 #include "io/mem_env.h"
@@ -384,6 +386,85 @@ TEST_F(ApplicationsTest, LongestCommonSubstringMatchesNaiveDp) {
   std::string witness = combined->text.substr(lcs->offset, lcs->length);
   EXPECT_NE(a.find(witness), std::string::npos);
   EXPECT_NE(b.find(witness), std::string::npos);
+}
+
+/// Block-served answers under a cache that holds one block: every query
+/// evicts and reloads, and Count, Locate and MatchDictionary must still
+/// agree with the naive scan, for both served formats and at 1 and 8
+/// threads.
+TEST(BlockServingTest, OneBlockBudgetAnswersMatchOracleAcrossFormats) {
+  for (SubTreeFormat format :
+       {SubTreeFormat::kPacked, SubTreeFormat::kCounted}) {
+    MemEnv env;
+    const std::string text =
+        testing::RepetitiveText(Alphabet::Dna(), 6000, 17);
+    auto info = MaterializeText(&env, "/text", Alphabet::Dna(), text);
+    ASSERT_TRUE(info.ok());
+    BuildOptions build;
+    build.env = &env;
+    build.work_dir = "/idx";
+    build.memory_budget = 512 << 10;
+    build.input_buffer_bytes = 4096;
+    build.format = format;
+    EraBuilder builder(build);
+    auto built = builder.Build(*info);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+    std::vector<std::string> patterns;
+    for (std::size_t i = 0; i + 40 < text.size(); i += 97) {
+      patterns.push_back(text.substr(i, 3 + i % 29));
+    }
+    patterns.push_back("ACGTTGCAACGT");  // likely absent
+    std::vector<std::vector<uint64_t>> expected;
+    for (const std::string& p : patterns) {
+      expected.push_back(NaiveLocate(text, p));
+    }
+
+    for (unsigned threads : {1u, 8u}) {
+      QueryEngineOptions options;
+      options.cache.budget_bytes = 4096;
+      options.cache.shards = 1;
+      auto engine = QueryEngine::Open(&env, "/idx", options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      std::atomic<int> wrong{0};
+      std::vector<std::thread> pool;
+      for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+          for (std::size_t i = t; i < patterns.size(); i += threads) {
+            auto count = (*engine)->Count(patterns[i]);
+            auto located = (*engine)->Locate(patterns[i]);
+            if (!count.ok() || *count != expected[i].size() ||
+                !located.ok() || *located != expected[i]) {
+              ++wrong;
+            }
+          }
+          DictMatchOptions locate;
+          locate.locate = true;
+          for (const DictMatchOptions& mode : {DictMatchOptions{}, locate}) {
+            auto batch = (*engine)->MatchDictionary(patterns, mode);
+            if (!batch.ok()) {
+              ++wrong;
+              continue;
+            }
+            for (std::size_t i = 0; i < patterns.size(); ++i) {
+              const DictOutcome& o = (*batch)[i];
+              if (!o.status.ok() || o.count != expected[i].size() ||
+                  (mode.locate && o.offsets != expected[i])) {
+                ++wrong;
+              }
+            }
+          }
+        });
+      }
+      for (std::thread& thread : pool) thread.join();
+      EXPECT_EQ(wrong.load(), 0) << "format " << static_cast<int>(format)
+                                 << ", " << threads << " threads";
+      const TreeIndex::CacheSnapshot cache = (*engine)->cache();
+      EXPECT_GT(cache.evictions, 0u);
+      EXPECT_GT(cache.block_misses, 0u);
+      EXPECT_TRUE((*engine)->quarantine().empty());
+    }
+  }
 }
 
 }  // namespace

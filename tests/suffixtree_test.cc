@@ -238,52 +238,61 @@ TEST(TreeIndexCacheTest, LruEvictsWithinBudgetAndPinsInFlight) {
   ASSERT_TRUE(ReadServedSubTree(&env, "/st_0", &served, nullptr, nullptr).ok());
   const uint64_t tree_bytes = served.MemoryBytes();
 
-  // Single shard with room for ~2 trees: opening 8 distinct ids must evict.
+  // Single shard with room for ~2 trees' blocks: walking 8 distinct ids
+  // must evict blocks. Handles (~1 KB each) stay attached throughout.
   TreeCacheOptions options;
   options.shards = 1;
   options.budget_bytes = 2 * tree_bytes + tree_bytes / 2;
   index.ConfigureCache(options);
+  const SaLcp expected = TreeToSaLcp(served);
 
   IoStats stats;
   std::shared_ptr<const ServedSubTree> pinned;
   for (uint32_t id = 0; id < 8; ++id) {
     auto opened = index.OpenSubTree(&env, id, &stats);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto walked = TryTreeToSaLcp(**opened);
+    ASSERT_TRUE(walked.ok()) << walked.status().ToString();
+    EXPECT_EQ(*walked, expected);
     if (id == 0) pinned = *opened;
   }
   TreeIndex::CacheSnapshot snap = index.CacheStats();
   EXPECT_EQ(snap.misses, 8u);
+  EXPECT_EQ(snap.resident_trees, 8u);
   EXPECT_GT(snap.evictions, 0u);
+  EXPECT_GT(snap.block_misses, 0u);
   EXPECT_LE(snap.resident_bytes, options.budget_bytes);
   EXPECT_EQ(stats.cache_misses, 8u);
-  EXPECT_EQ(stats.cache_evicted_bytes, snap.evicted_bytes);
 
-  // Id 0 was evicted long ago, but the pinned shared_ptr stays valid.
+  // Id 0's blocks were evicted long ago, but its view still reads: misses
+  // reload the blocks.
   EXPECT_EQ(pinned->LeafCount(), CountLeaves(*tree));
+  EXPECT_EQ(TreeToSaLcp(*pinned), expected);
 
-  // Re-opening a resident id is a hit; re-opening id 0 is a miss again.
+  // Re-opening any attached id is a handle hit, whatever its blocks' fate.
   auto hit = index.OpenSubTree(&env, 7, &stats);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(stats.cache_hits, 1u);
-  auto miss = index.OpenSubTree(&env, 0, &stats);
-  ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(stats.cache_misses, 9u);
-
-  // LRU order: after touching id 7, filling past the budget evicts older
-  // ids first, never the most recently used one.
-  EXPECT_TRUE(index.OpenSubTree(&env, 7, nullptr).ok());
+  auto again = index.OpenSubTree(&env, 0, &stats);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.cache_misses, 8u);
   snap = index.CacheStats();
   uint64_t hits_before = snap.hits;
   EXPECT_TRUE(index.OpenSubTree(&env, 7, nullptr).ok());
   EXPECT_EQ(index.CacheStats().hits, hits_before + 1);
 
-  // An explicit sweep empties residency without counting as LRU eviction.
+  // An explicit sweep drops every block and handle without counting as
+  // budget eviction; the next open attaches again.
   uint64_t evictions_before = index.CacheStats().evictions;
   index.EvictCache();
   snap = index.CacheStats();
   EXPECT_EQ(snap.resident_trees, 0u);
   EXPECT_EQ(snap.resident_bytes, 0u);
   EXPECT_EQ(snap.evictions, evictions_before);
+  ASSERT_TRUE(index.OpenSubTree(&env, 0, &stats).ok());
+  EXPECT_EQ(stats.cache_misses, 9u);
+  EXPECT_EQ(TreeToSaLcp(*pinned), expected);
 }
 
 TEST(TrieTest, InsertAndDescend) {

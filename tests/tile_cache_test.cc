@@ -1,6 +1,7 @@
 // TileCache unit suite: boundary reads, budget accounting, eviction under
-// pinning, scan-resistant admission, the CachedFile adapter, and an
-// 8-thread eviction racer (also run under ThreadSanitizer in CI).
+// pinning, scan-resistant admission, the CachedFile adapter, single-flight
+// loads, multi-file keys, verified overlap tiles, and an 8-thread eviction
+// racer (the threaded cases also run under ThreadSanitizer in CI).
 
 #include "io/tile_cache.h"
 
@@ -12,6 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
+#include "io/faulty_env.h"
+#include "io/latency_env.h"
 #include "io/mem_env.h"
 
 namespace era {
@@ -200,7 +204,8 @@ TEST_F(TileCacheTest, EvictAllDropsResidencyButKeepsServing) {
 
 TEST_F(TileCacheTest, CachedFileAdapterServesIdenticalBytes) {
   auto cache = Open(4 * kTile, /*shards=*/2);
-  std::unique_ptr<RandomAccessFile> file = NewCachedFile(cache);
+  std::unique_ptr<RandomAccessFile> file =
+      NewCachedFile(cache, cache->FindFile("/s"));
   EXPECT_EQ(file->Size(), data_.size());
   std::mt19937_64 rng(99);
   std::string buf(3000, '\0');
@@ -269,6 +274,143 @@ TEST_F(TileCacheTest, EightThreadEvictionRacer) {
   EXPECT_GT(snapshot.misses, 0u);
   EXPECT_EQ(snapshot.resident_bytes,
             cache->stats().resident_bytes);  // coherent snapshot
+}
+
+/// Runs `threads` callers of `body` released together, so their misses
+/// overlap the slow device read of the first one.
+template <typename Body>
+void RunTogether(int threads, Body body) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < threads) std::this_thread::yield();
+      body(t);
+    });
+  }
+  for (auto& thread : pool) thread.join();
+}
+
+TEST_F(TileCacheTest, ConcurrentMissesOnOneBlockShareOneDeviceRead) {
+  FaultyEnv counting(&env_, FaultSpec{});
+  LatencyModel slow;
+  slow.read_latency_seconds = 0.05;  // every caller arrives mid-read
+  LatencyEnv device(&counting, slow);
+  TileCacheOptions options;
+  options.budget_bytes = 64 * kTile;
+  options.tile_bytes = kTile;
+  auto cache = TileCache::Create(options);
+  ASSERT_TRUE(cache.ok());
+  auto file = (*cache)->AddFile(&device, "/s");
+  ASSERT_TRUE(file.ok());
+  std::vector<std::shared_ptr<const CachedTile>> got(8);
+  RunTogether(8, [&](int t) {
+    auto tile = (*cache)->GetTile(**file, 3);
+    if (tile.ok()) got[t] = *tile;
+  });
+  EXPECT_EQ(counting.stats().reads, 1u);
+  for (const auto& tile : got) {
+    ASSERT_NE(tile, nullptr);
+    EXPECT_EQ(std::string(tile->data.begin(), tile->data.end()),
+              data_.substr(3 * kTile, kTile));
+  }
+  EXPECT_EQ((*cache)->stats().device_bytes_read, kTile);
+}
+
+TEST_F(TileCacheTest, ConcurrentTextTileMissesShareOneDeviceRead) {
+  // The build's single-file cache: eight scanners reading inside one
+  // 128 KiB text tile at once cost one device read.
+  std::string text(512u << 10, 'x');
+  for (std::size_t i = 0; i < text.size(); ++i) text[i] = "ACGT"[i * 7 % 4];
+  ASSERT_TRUE(env_.WriteFile("/text", text).ok());
+  FaultyEnv counting(&env_, FaultSpec{});
+  LatencyModel slow;
+  slow.read_latency_seconds = 0.05;
+  LatencyEnv device(&counting, slow);
+  TileCacheOptions options;
+  options.budget_bytes = 1u << 20;
+  auto cache = TileCache::Open(&device, "/text", options);
+  ASSERT_TRUE(cache.ok());
+  std::atomic<int> wrong{0};
+  RunTogether(8, [&](int t) {
+    std::string buf(1000, '\0');
+    std::size_t got = 0;
+    const uint64_t pos = (128u << 10) + 4000 * t;  // all inside tile 1
+    if (!(*cache)->ReadAt(pos, buf.size(), buf.data(), &got).ok() ||
+        buf != text.substr(pos, buf.size())) {
+      ++wrong;
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(counting.stats().reads, 1u);
+}
+
+TEST_F(TileCacheTest, FilesShareTheBudgetUnderDistinctKeys) {
+  ASSERT_TRUE(env_.WriteFile("/t", std::string(3 * kTile, 'z')).ok());
+  TileCacheOptions options;
+  options.budget_bytes = 64 * kTile;
+  options.tile_bytes = kTile;
+  auto cache = TileCache::Create(options);
+  ASSERT_TRUE(cache.ok());
+  auto s = (*cache)->AddFile(&env_, "/s");
+  auto t = (*cache)->AddFile(&env_, "/t");
+  ASSERT_TRUE(s.ok() && t.ok());
+  EXPECT_EQ((*cache)->FindFile("/t"), *t);
+  auto a = (*cache)->GetTile(**s, 0);
+  auto b = (*cache)->GetTile(**t, 0);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ((*a)->data[0], data_[0]);
+  EXPECT_EQ((*b)->data[0], 'z');
+  EXPECT_EQ((*cache)->stats().resident_tiles, 2u);
+  // Removing a file drops its tiles and its registration, nobody else's.
+  (*cache)->RemoveFile(**t);
+  EXPECT_EQ((*cache)->FindFile("/t"), nullptr);
+  EXPECT_EQ((*cache)->stats().resident_tiles, 1u);
+  EXPECT_EQ((*cache)->stats().resident_bytes, kTile);
+}
+
+TEST_F(TileCacheTest, VerifiedTilesCarryOverlapAndFailOnChange) {
+  constexpr uint32_t kOverlap = 64;
+  std::vector<uint32_t> crcs;
+  for (uint64_t off = 0; off < data_.size(); off += kTile) {
+    const std::size_t n = std::min<std::size_t>(kTile + kOverlap,
+                                                data_.size() - off);
+    crcs.push_back(Crc32c(data_.data() + off, n));
+  }
+  TileCacheOptions options;
+  options.budget_bytes = 2 * kTile;
+  options.tile_bytes = kTile;
+  options.shards = 1;
+  auto cache = TileCache::Create(options);
+  ASSERT_TRUE(cache.ok());
+  auto file = (*cache)->AddFile(&env_, "/s", kOverlap, crcs);
+  ASSERT_TRUE(file.ok());
+  auto tile = (*cache)->GetTile(**file, 2);
+  ASSERT_TRUE(tile.ok()) << tile.status().ToString();
+  EXPECT_EQ(std::string((*tile)->data.begin(), (*tile)->data.end()),
+            data_.substr(2 * kTile, kTile + kOverlap));
+  // The last tile is short; its tail stops at end-of-file.
+  auto last = (*cache)->GetTile(**file, 10);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ((*last)->data.size(), data_.size() - 10 * kTile);
+
+  // Admit offers a tile without evicting: the 2-tile budget is full.
+  (*cache)->Admit(**file, 5, data_.data() + 5 * kTile, kTile + kOverlap);
+  EXPECT_EQ((*cache)->stats().resident_tiles, 2u);
+
+  // Rewrite one byte of tile 7 on disk: its next load fails its checksum
+  // and flags the registration, while resident tile 2 keeps serving.
+  std::string changed = data_;
+  changed[7 * kTile + 5] ^= 1;
+  ASSERT_TRUE(env_.WriteFile("/s", changed).ok());
+  auto bad = (*cache)->GetTile(**file, 7);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+  EXPECT_TRUE((*file)->damaged.load());
+  EXPECT_TRUE((*cache)->GetTile(**file, 2).ok());
+  // A byte inside tile 6's overlap tail is covered by tile 6's checksum.
+  EXPECT_FALSE((*cache)->GetTile(**file, 6).ok());
 }
 
 }  // namespace
