@@ -91,12 +91,13 @@ Status IssueQuery(QueryEngine* engine, const QueryContext& ctx,
                   uint64_t* checksum) {
   const std::string& pattern = patterns[j % patterns.size()];
   if (IsLocate(j)) {
-    auto hits = engine->Locate(ctx, pattern, kLocateLimit);
+    auto hits =
+        engine->Locate(pattern, kLocateLimit, LocateOrder::kSmallest, ctx);
     if (!hits.ok()) return hits.status();
     *checksum = LocateChecksum(*hits);
     return Status::OK();
   }
-  auto count = engine->Count(ctx, pattern);
+  auto count = engine->Count(pattern, ctx);
   if (!count.ok()) return count.status();
   *checksum = CountChecksum(*count);
   return Status::OK();

@@ -92,19 +92,17 @@ void DocEngine::ClassifyFailure(const Status& status, DocQueryStats* stats) {
   }
 }
 
-StatusOr<std::vector<DocHit>> DocEngine::HistogramWithStats(
-    const QueryContext& ctx, const std::string& pattern,
+StatusOr<std::vector<uint64_t>> DocEngine::LocateAll(
+    const std::string& pattern, const QueryContext& ctx,
     DocQueryStats* stats) {
   ERA_RETURN_NOT_OK(ValidatePattern(pattern));
   ++stats->queries;
   // All occurrences, from the match node's contiguous descendant leaf-slot
   // range (ascending after Locate's sort).
-  auto located = engine_->Locate(ctx, pattern);
-  if (!located.ok()) {
-    ClassifyFailure(located.status(), stats);
-    return located.status();
-  }
-  return HistogramFromOffsets(*located, stats);
+  auto located =
+      engine_->Locate(pattern, SIZE_MAX, LocateOrder::kSmallest, ctx);
+  if (!located.ok()) ClassifyFailure(located.status(), stats);
+  return located;
 }
 
 std::vector<DocHit> DocEngine::HistogramFromOffsets(
@@ -151,26 +149,22 @@ DocQueryStats DocEngine::doc_stats() const {
 }
 
 StatusOr<std::vector<DocHit>> DocEngine::DocumentHistogram(
-    const std::string& pattern) {
-  return DocumentHistogram(QueryContext::Background(), pattern);
-}
-
-StatusOr<std::vector<DocHit>> DocEngine::DocumentHistogram(
-    const QueryContext& ctx, const std::string& pattern) {
+    const std::string& pattern, const QueryContext& ctx) {
   DocQueryStats stats;
-  auto histogram = HistogramWithStats(ctx, pattern, &stats);
+  auto located = LocateAll(pattern, ctx, &stats);
+  if (!located.ok()) {
+    FoldStats(stats);
+    return located.status();
+  }
+  std::vector<DocHit> histogram = HistogramFromOffsets(*located, &stats);
   FoldStats(stats);
   return histogram;
 }
 
-StatusOr<uint64_t> DocEngine::CountDocs(const std::string& pattern) {
-  return CountDocs(QueryContext::Background(), pattern);
-}
-
-StatusOr<uint64_t> DocEngine::CountDocs(const QueryContext& ctx,
-                                        const std::string& pattern) {
+StatusOr<uint64_t> DocEngine::CountDocs(const std::string& pattern,
+                                        const QueryContext& ctx) {
   ERA_ASSIGN_OR_RETURN(std::vector<DocHit> histogram,
-                       DocumentHistogram(ctx, pattern));
+                       DocumentHistogram(pattern, ctx));
   return static_cast<uint64_t>(histogram.size());
 }
 
@@ -188,37 +182,24 @@ std::vector<DocHit> TopKFromHistogram(std::vector<DocHit> histogram,
 }
 
 StatusOr<std::vector<DocHit>> DocEngine::TopKDocuments(
-    const std::string& pattern, std::size_t k) {
-  return TopKDocuments(QueryContext::Background(), pattern, k);
-}
-
-StatusOr<std::vector<DocHit>> DocEngine::TopKDocuments(
-    const QueryContext& ctx, const std::string& pattern, std::size_t k) {
+    const std::string& pattern, std::size_t k, const QueryContext& ctx) {
   ERA_ASSIGN_OR_RETURN(std::vector<DocHit> histogram,
-                       DocumentHistogram(ctx, pattern));
+                       DocumentHistogram(pattern, ctx));
   return TopKFromHistogram(std::move(histogram), k);
 }
 
 StatusOr<std::vector<uint64_t>> DocEngine::LocateInDoc(
-    const std::string& pattern, uint32_t doc_id) {
-  return LocateInDoc(QueryContext::Background(), pattern, doc_id);
-}
-
-StatusOr<std::vector<uint64_t>> DocEngine::LocateInDoc(
-    const QueryContext& ctx, const std::string& pattern, uint32_t doc_id) {
+    const std::string& pattern, uint32_t doc_id, const QueryContext& ctx) {
   if (doc_id >= documents_.num_documents()) {
     return Status::InvalidArgument("document id out of range");
   }
-  ERA_RETURN_NOT_OK(ValidatePattern(pattern));
   DocQueryStats stats;
-  ++stats.queries;
-  auto located = engine_->Locate(ctx, pattern);
+  auto located = LocateAll(pattern, ctx, &stats);
   if (!located.ok()) {
-    ClassifyFailure(located.status(), &stats);
     FoldStats(stats);
     return located.status();
   }
-  std::vector<uint64_t> offsets = std::move(*located);
+  const std::vector<uint64_t>& offsets = *located;
   const DocumentSpan& doc = documents_.document(doc_id);
   // Offsets are ascending: the document's occurrences are one contiguous
   // run, found by binary search.
@@ -235,35 +216,8 @@ StatusOr<std::vector<uint64_t>> DocEngine::LocateInDoc(
   return local;
 }
 
-StatusOr<std::vector<uint64_t>> DocEngine::CountDocsBatch(
-    const std::vector<std::string>& patterns) {
-  return CountDocsBatch(QueryContext::Background(), patterns);
-}
-
-StatusOr<std::vector<uint64_t>> DocEngine::CountDocsBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
-  DocQueryStats stats;
-  std::vector<uint64_t> counts;
-  counts.reserve(patterns.size());
-  for (const std::string& pattern : patterns) {
-    auto histogram = HistogramWithStats(ctx, pattern, &stats);
-    if (!histogram.ok()) {
-      FoldStats(stats);
-      return histogram.status();
-    }
-    counts.push_back(histogram->size());
-  }
-  FoldStats(stats);
-  return counts;
-}
-
 StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
-    const std::vector<std::string>& patterns) {
-  return CountDocsDictionary(QueryContext::Background(), patterns);
-}
-
-StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
+    const std::vector<std::string>& patterns, const QueryContext& ctx) {
   DocQueryStats stats;
   std::vector<CountOutcome> outcomes(patterns.size());
   // Per-item validation up front (the dictionary layer below only rejects
@@ -283,10 +237,9 @@ StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
   }
   DictMatchOptions options;
   options.locate = true;
-  auto dict = engine_->MatchDictionary(ctx, valid, options);
+  auto dict = engine_->MatchDictionary(valid, options, ctx);
   if (!dict.ok()) {
-    // The pass never ran (shed, or no reader session): propagate like the
-    // other batch entry points.
+    // The pass never ran (shed, or no reader session): propagate.
     ClassifyFailure(dict.status(), &stats);
     FoldStats(stats);
     return dict.status();
@@ -304,29 +257,6 @@ StatusOr<std::vector<CountOutcome>> DocEngine::CountDocsDictionary(
   }
   FoldStats(stats);
   return outcomes;
-}
-
-StatusOr<std::vector<std::vector<DocHit>>> DocEngine::TopKDocumentsBatch(
-    const std::vector<std::string>& patterns, std::size_t k) {
-  return TopKDocumentsBatch(QueryContext::Background(), patterns, k);
-}
-
-StatusOr<std::vector<std::vector<DocHit>>> DocEngine::TopKDocumentsBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    std::size_t k) {
-  DocQueryStats stats;
-  std::vector<std::vector<DocHit>> results;
-  results.reserve(patterns.size());
-  for (const std::string& pattern : patterns) {
-    auto histogram = HistogramWithStats(ctx, pattern, &stats);
-    if (!histogram.ok()) {
-      FoldStats(stats);
-      return histogram.status();
-    }
-    results.push_back(TopKFromHistogram(std::move(*histogram), k));
-  }
-  FoldStats(stats);
-  return results;
 }
 
 }  // namespace era

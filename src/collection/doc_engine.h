@@ -41,11 +41,20 @@ struct DocHit {
   }
 };
 
+/// Per-pattern result of DocEngine::CountDocsDictionary: `count` is the
+/// number of distinct documents containing the pattern. Statuses follow the
+/// DictOutcome batch contract (query/query_engine.h).
+struct CountOutcome {
+  Status status;
+  uint64_t count = 0;
+};
+
 /// Aggregate counters for the document-query path (tree-walk work is in the
 /// underlying QueryEngine's QueryStats; these count catalog work and
 /// serving degradation as seen by collection callers).
 struct DocQueryStats {
-  /// Completed doc-level calls (batch items count individually).
+  /// Completed doc-level calls (each answered CountDocsDictionary item
+  /// counts individually).
   uint64_t queries = 0;
   /// Global occurrence offsets folded through the DocumentMap.
   uint64_t offsets_resolved = 0;
@@ -84,62 +93,43 @@ class DocEngine {
       const QueryEngineOptions& options = QueryEngineOptions{});
 
   /// Number of distinct documents containing `pattern` (document frequency).
-  /// Every call also has a QueryContext overload: the context's deadline and
-  /// cancellation apply to the underlying Locate (checked at node-visit and
-  /// device-read boundaries) and the call passes through admission control.
-  StatusOr<uint64_t> CountDocs(const std::string& pattern);
-  StatusOr<uint64_t> CountDocs(const QueryContext& ctx,
-                               const std::string& pattern);
+  /// Every call takes a trailing QueryContext (default Background()): its
+  /// deadline and cancellation apply to the underlying Locate (checked at
+  /// node-visit and device-read boundaries) and the call passes through
+  /// admission control.
+  StatusOr<uint64_t> CountDocs(
+      const std::string& pattern,
+      const QueryContext& ctx = QueryContext::Background());
 
   /// The `k` documents with the most occurrences of `pattern`, ordered by
   /// descending occurrence count, ties by ascending doc id. Fewer than `k`
   /// entries when fewer documents match.
-  StatusOr<std::vector<DocHit>> TopKDocuments(const std::string& pattern,
-                                              std::size_t k);
-  StatusOr<std::vector<DocHit>> TopKDocuments(const QueryContext& ctx,
-                                              const std::string& pattern,
-                                              std::size_t k);
+  StatusOr<std::vector<DocHit>> TopKDocuments(
+      const std::string& pattern, std::size_t k,
+      const QueryContext& ctx = QueryContext::Background());
 
   /// Occurrence offsets of `pattern` WITHIN document `doc_id` (document-
   /// local coordinates), ascending.
-  StatusOr<std::vector<uint64_t>> LocateInDoc(const std::string& pattern,
-                                              uint32_t doc_id);
-  StatusOr<std::vector<uint64_t>> LocateInDoc(const QueryContext& ctx,
-                                              const std::string& pattern,
-                                              uint32_t doc_id);
+  StatusOr<std::vector<uint64_t>> LocateInDoc(
+      const std::string& pattern, uint32_t doc_id,
+      const QueryContext& ctx = QueryContext::Background());
 
   /// Per-document occurrence histogram for `pattern`, ascending doc id.
   /// (CountDocs/TopKDocuments are views of this.)
-  StatusOr<std::vector<DocHit>> DocumentHistogram(const std::string& pattern);
-  StatusOr<std::vector<DocHit>> DocumentHistogram(const QueryContext& ctx,
-                                                  const std::string& pattern);
+  StatusOr<std::vector<DocHit>> DocumentHistogram(
+      const std::string& pattern,
+      const QueryContext& ctx = QueryContext::Background());
 
-  /// Batched variants; answers are index-aligned with `patterns`. The
-  /// context overloads share one deadline across the batch and stop
-  /// mid-flight when it expires (remaining items are not attempted).
-  StatusOr<std::vector<uint64_t>> CountDocsBatch(
-      const std::vector<std::string>& patterns);
-  StatusOr<std::vector<uint64_t>> CountDocsBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<std::vector<DocHit>>> TopKDocumentsBatch(
-      const std::vector<std::string>& patterns, std::size_t k);
-  StatusOr<std::vector<std::vector<DocHit>>> TopKDocumentsBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t k);
-
-  /// Distinct-document counts (document frequency) for a whole dictionary
-  /// in one batched pass: patterns share descents and leaf enumeration
-  /// through QueryEngine::MatchDictionary — one sub-tree open and one leaf
-  /// pass per touched sub-tree, regardless of dictionary size — then each
-  /// pattern's ascending offsets fold through the DocumentMap with the
-  /// usual merge pass. Outcomes are index-aligned with `patterns` and
-  /// follow the per-item CountOutcome contract (`count` = distinct
-  /// documents containing the pattern); the outer status is non-OK only
-  /// when the batch never ran.
+  /// The batch entry point: distinct-document counts (document frequency)
+  /// for a whole dictionary in one batched pass. Patterns share descents and
+  /// leaf enumeration through QueryEngine::MatchDictionary — one sub-tree
+  /// open and one leaf pass per touched sub-tree, regardless of dictionary
+  /// size — then each pattern's ascending offsets fold through the
+  /// DocumentMap with the usual merge pass. Outcomes are index-aligned with
+  /// `patterns`; the outer status is non-OK only when the batch never ran.
   StatusOr<std::vector<CountOutcome>> CountDocsDictionary(
-      const std::vector<std::string>& patterns);
-  StatusOr<std::vector<CountOutcome>> CountDocsDictionary(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
+      const std::vector<std::string>& patterns,
+      const QueryContext& ctx = QueryContext::Background());
 
   const DocumentMap& documents() const { return documents_; }
   /// The underlying pattern engine (plain Count/Locate over the combined
@@ -166,11 +156,12 @@ class DocEngine {
   /// Rejects patterns that could only match across the concatenated layout.
   Status ValidatePattern(const std::string& pattern) const;
 
-  /// Histogram core: one Locate + one merge pass; per-call counters are
-  /// accumulated into `stats`.
-  StatusOr<std::vector<DocHit>> HistogramWithStats(const QueryContext& ctx,
-                                                   const std::string& pattern,
-                                                   DocQueryStats* stats);
+  /// Validates `pattern`, counts one doc query into `stats` and locates
+  /// every occurrence (ascending global offsets); a failed Locate is billed
+  /// into the degradation counters.
+  StatusOr<std::vector<uint64_t>> LocateAll(const std::string& pattern,
+                                            const QueryContext& ctx,
+                                            DocQueryStats* stats);
 
   /// The merge pass itself (ascending global offsets -> per-document
   /// histogram), shared by the single-pattern and dictionary paths.

@@ -73,8 +73,8 @@ struct QueryContext {
   static QueryContext WithTimeout(double seconds);
   /// Context expiring at the given absolute instant.
   static QueryContext WithDeadline(Clock::time_point deadline);
-  /// Shared no-deadline, never-cancelled context for the context-free API
-  /// overloads. Do not Cancel() it.
+  /// Shared no-deadline, never-cancelled context: the default of every
+  /// serving entry point's trailing QueryContext. Do not Cancel() it.
   static const QueryContext& Background();
 
   bool has_deadline() const { return deadline != Clock::time_point::max(); }

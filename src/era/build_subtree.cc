@@ -8,9 +8,10 @@ namespace era {
 
 namespace {
 
-/// TreeNode stores edge lengths in 32 bits. An input whose suffix edges pass
-/// 4 GiB cannot be represented in the current node format, so fail loudly
-/// instead of silently truncating into a wrong tree.
+/// TreeNode stores edge lengths in 32 bits. The build drivers reject texts
+/// over kMaxTextLength (era_builder.h) at entry, so this only fires if that
+/// bound is bypassed; it still fails loudly instead of silently truncating
+/// into a wrong tree.
 Status CheckedEdgeLen(uint64_t len, uint32_t* out) {
   if (len > std::numeric_limits<uint32_t>::max()) {
     return Status::Internal(

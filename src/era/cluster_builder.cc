@@ -11,6 +11,7 @@
 namespace era {
 
 StatusOr<ClusterBuildResult> ClusterBuilder::Build(const TextInfo& text) {
+  ERA_RETURN_NOT_OK(ValidateBuildText(text));
   ERA_RETURN_NOT_OK(ValidateBuildOptions(options_));
   Env* env = options_.GetEnv();
   ERA_RETURN_NOT_OK(env->CreateDir(options_.work_dir));

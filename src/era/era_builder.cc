@@ -246,8 +246,19 @@ StatusOr<TreeIndex> AssembleIndex(const TextInfo& text,
   return loaded;
 }
 
+Status ValidateBuildText(const TextInfo& text) {
+  if (text.length > kMaxTextLength) {
+    return Status::InvalidArgument(
+        "text of " + std::to_string(text.length) +
+        " bytes exceeds the maximum of " + std::to_string(kMaxTextLength) +
+        " (tree edge lengths are 32-bit)");
+  }
+  return Status::OK();
+}
+
 StatusOr<BuildResult> EraBuilder::Build(const TextInfo& text) {
   WallTimer total_timer;
+  ERA_RETURN_NOT_OK(ValidateBuildText(text));
   ERA_RETURN_NOT_OK(ValidateBuildOptions(options_));
   ERA_RETURN_NOT_OK(options_.GetEnv()->CreateDir(options_.work_dir));
 

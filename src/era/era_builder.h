@@ -5,6 +5,8 @@
 #ifndef ERA_ERA_ERA_BUILDER_H_
 #define ERA_ERA_ERA_BUILDER_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -149,6 +151,16 @@ Status ProcessGroup(const TextInfo& text, const BuildOptions& options,
 /// deterministic slot naming, with no device traffic.
 void ReconstructGroupOutput(const VirtualTree& group, uint64_t group_id,
                             GroupOutput* out);
+
+/// Longest text, terminal included, that a build accepts. A leaf edge can
+/// span the whole text and tree nodes store edge lengths in 32 bits (the
+/// bound CheckedEdgeLen guards in build_subtree.cc), so a longer text could
+/// only fail mid-build.
+inline constexpr uint64_t kMaxTextLength = std::numeric_limits<uint32_t>::max();
+
+/// The build drivers' entry check on the input text: a text longer than
+/// kMaxTextLength is InvalidArgument, before any I/O.
+Status ValidateBuildText(const TextInfo& text);
 
 /// PlanMemory plus the build-level tile-cache refinement: when the auto
 /// carve exceeds this build's useful per-core share (tile-rounded file size

@@ -80,6 +80,7 @@ struct GroupWork {
 
 StatusOr<ParallelBuildResult> ParallelBuilder::Build(const TextInfo& text) {
   WallTimer total_timer;
+  ERA_RETURN_NOT_OK(ValidateBuildText(text));
   ERA_RETURN_NOT_OK(ValidateBuildOptions(options_));
   if (num_workers_ == 0) {
     return Status::InvalidArgument("parallel build needs at least one worker");

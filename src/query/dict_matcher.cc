@@ -10,9 +10,9 @@ namespace era {
 
 namespace {
 
-/// Mirrors the batch contract (query_engine.cc): the caller's deadline and
-/// cancellation stop the dictionary mid-flight; anything else is the
-/// pattern's (or its sub-tree's) own problem.
+/// The batch contract (DictOutcome): the caller's deadline and cancellation
+/// stop the dictionary mid-flight; anything else is the pattern's (or its
+/// sub-tree's) own problem.
 bool TerminatesDictionary(const Status& status) {
   return status.IsDeadlineExceeded() || status.IsCancelled();
 }
@@ -418,35 +418,15 @@ void DictMatcher::Run(const std::vector<std::string>& patterns,
 }
 
 StatusOr<std::vector<DictOutcome>> QueryEngine::MatchDictionary(
-    const std::vector<std::string>& patterns, const DictMatchOptions& options) {
-  return MatchDictionary(QueryContext::Background(), patterns, options);
-}
-
-StatusOr<std::vector<DictOutcome>> QueryEngine::MatchDictionary(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    const DictMatchOptions& options) {
-  auto trace = MaybeStartTrace("match_dictionary", ctx);
-  if (trace == nullptr) return MatchDictionaryImpl(ctx, patterns, options);
-  QueryContext traced = ctx;
-  traced.trace = trace.get();
-  return FinishTraced(trace, MatchDictionaryImpl(traced, patterns, options));
-}
-
-StatusOr<std::vector<DictOutcome>> QueryEngine::MatchDictionaryImpl(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    const DictMatchOptions& options) {
-  Permit permit;
-  {
-    TraceSpan span(ctx.trace, "admission");
-    ERA_RETURN_NOT_OK(admission_.Admit(ctx, &permit));
-  }
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  ReaderContextGuard guard(lease.get(), &ctx);
-  std::vector<DictOutcome> outcomes;
-  DictMatcher matcher(this, lease.get(), ctx, options);
-  matcher.Run(patterns, &outcomes);
-  return outcomes;
+    const std::vector<std::string>& patterns, const DictMatchOptions& options,
+    const QueryContext& ctx) {
+  return Serve<std::vector<DictOutcome>>(
+      "match_dictionary", ctx, [&](Session* session, const QueryContext& c) {
+        std::vector<DictOutcome> outcomes;
+        DictMatcher matcher(this, session, c, options);
+        matcher.Run(patterns, &outcomes);
+        return outcomes;
+      });
 }
 
 }  // namespace era

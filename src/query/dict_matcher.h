@@ -27,8 +27,8 @@
 //      ranges share decoded leaf runs instead of one CollectLeaves each.
 //
 // Deadline/cancel checkpoints sit at group and node boundaries plus every
-// device read; a terminal status stamps everything unresolved, matching the
-// batch stamp-the-remainder contract.
+// device read; a terminal status stamps everything unresolved (the
+// DictOutcome batch contract).
 
 #ifndef ERA_QUERY_DICT_MATCHER_H_
 #define ERA_QUERY_DICT_MATCHER_H_

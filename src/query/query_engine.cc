@@ -1,7 +1,6 @@
 #include "query/query_engine.h"
 
 #include <algorithm>
-#include <string_view>
 
 namespace era {
 
@@ -36,62 +35,6 @@ const std::vector<QueryStatsField>& QueryStatsFields() {
            &QueryStats::dict_descents_saved},
       };
   return *fields;
-}
-
-void CollectLeaves(const TreeBuffer& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves, std::size_t limit) {
-  std::vector<uint32_t> stack{node};
-  while (!stack.empty() && leaves->size() < limit) {
-    uint32_t u = stack.back();
-    stack.pop_back();
-    const TreeNode& n = tree.node(u);
-    if (n.IsLeaf()) leaves->push_back(n.leaf_id);
-    // Push the children, then reverse the just-pushed segment in place so
-    // the first child is popped next (lexicographic emission) without a
-    // per-node scratch allocation.
-    std::size_t first = stack.size();
-    for (uint32_t c = n.first_child; c != kNilNode;
-         c = tree.node(c).next_sibling) {
-      stack.push_back(c);
-    }
-    std::reverse(stack.begin() + first, stack.end());
-  }
-}
-
-void CollectLeaves(const CountedTree& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves) {
-  // Background() never expires, so the context-aware scan cannot fail.
-  Status s = CollectLeaves(tree, node, QueryContext::Background(), leaves);
-  (void)s;
-}
-
-Status CollectLeaves(const CountedTree& tree, uint32_t node,
-                     const QueryContext& ctx, std::vector<uint64_t>* leaves) {
-  const CountedNode& n = tree.node(node);
-  if (n.IsLeaf()) {
-    leaves->push_back(n.leaf_id());
-    return Status::OK();
-  }
-  // The strict descendants of `node` occupy one contiguous slot range
-  // starting at children_begin (enforced at load; see serializer.cc), so
-  // every leaf below sits in that range and the scan stops once the
-  // subtree's leaf count is met. The context is re-checked every block of
-  // slots: fine enough that a deadline abandon costs microseconds, coarse
-  // enough that the clock read vanishes against the scan.
-  constexpr uint32_t kCheckEverySlots = 4096;
-  uint64_t remaining = n.leaf_or_count;
-  leaves->reserve(leaves->size() + remaining);
-  for (uint32_t i = n.children_begin; remaining > 0 && i < tree.size(); ++i) {
-    if ((i - n.children_begin) % kCheckEverySlots == 0) {
-      ERA_RETURN_NOT_OK(ctx.Check());
-    }
-    const CountedNode& c = tree.node(i);
-    if (c.IsLeaf()) {
-      leaves->push_back(c.leaf_id());
-      --remaining;
-    }
-  }
-  return Status::OK();
 }
 
 namespace {
@@ -537,254 +480,28 @@ StatusOr<std::vector<uint64_t>> QueryEngine::LocateWithSession(
   return hits;
 }
 
-StatusOr<uint64_t> QueryEngine::Count(const std::string& pattern) {
-  return Count(QueryContext::Background(), pattern);
-}
-
-StatusOr<uint64_t> QueryEngine::Count(const QueryContext& ctx,
-                                      const std::string& pattern) {
-  auto trace = MaybeStartTrace("count", ctx);
-  if (trace == nullptr) return CountImpl(ctx, pattern);
-  QueryContext traced = ctx;
-  traced.trace = trace.get();
-  return FinishTraced(trace, CountImpl(traced, pattern));
-}
-
-StatusOr<uint64_t> QueryEngine::CountImpl(const QueryContext& ctx,
-                                          const std::string& pattern) {
-  Permit permit;
-  {
-    TraceSpan span(ctx.trace, "admission");
-    ERA_RETURN_NOT_OK(admission_.Admit(ctx, &permit));
-  }
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  ReaderContextGuard guard(lease.get(), &ctx);
-  auto result = CountWithSession(lease.get(), ctx, pattern);
-  if (!result.ok()) admission_.RecordOutcome(result.status());
-  return result;
+StatusOr<uint64_t> QueryEngine::Count(const std::string& pattern,
+                                      const QueryContext& ctx) {
+  return Serve<uint64_t>(
+      "count", ctx, [&](Session* session, const QueryContext& c) {
+        return CountWithSession(session, c, pattern);
+      });
 }
 
 StatusOr<std::vector<uint64_t>> QueryEngine::Locate(const std::string& pattern,
                                                     std::size_t limit,
-                                                    LocateOrder order) {
-  return Locate(QueryContext::Background(), pattern, limit, order);
+                                                    LocateOrder order,
+                                                    const QueryContext& ctx) {
+  return Serve<std::vector<uint64_t>>(
+      "locate", ctx, [&](Session* session, const QueryContext& c) {
+        return LocateWithSession(session, c, pattern, limit, order);
+      });
 }
 
-StatusOr<std::vector<uint64_t>> QueryEngine::Locate(const QueryContext& ctx,
-                                                    const std::string& pattern,
-                                                    std::size_t limit,
-                                                    LocateOrder order) {
-  auto trace = MaybeStartTrace("locate", ctx);
-  if (trace == nullptr) return LocateImpl(ctx, pattern, limit, order);
-  QueryContext traced = ctx;
-  traced.trace = trace.get();
-  return FinishTraced(trace, LocateImpl(traced, pattern, limit, order));
-}
-
-StatusOr<std::vector<uint64_t>> QueryEngine::LocateImpl(
-    const QueryContext& ctx, const std::string& pattern, std::size_t limit,
-    LocateOrder order) {
-  Permit permit;
-  {
-    TraceSpan span(ctx.trace, "admission");
-    ERA_RETURN_NOT_OK(admission_.Admit(ctx, &permit));
-  }
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  ReaderContextGuard guard(lease.get(), &ctx);
-  auto result = LocateWithSession(lease.get(), ctx, pattern, limit, order);
-  if (!result.ok()) admission_.RecordOutcome(result.status());
-  return result;
-}
-
-StatusOr<bool> QueryEngine::Contains(const std::string& pattern) {
-  return Contains(QueryContext::Background(), pattern);
-}
-
-StatusOr<bool> QueryEngine::Contains(const QueryContext& ctx,
-                                     const std::string& pattern) {
-  ERA_ASSIGN_OR_RETURN(uint64_t count, Count(ctx, pattern));
+StatusOr<bool> QueryEngine::Contains(const std::string& pattern,
+                                     const QueryContext& ctx) {
+  ERA_ASSIGN_OR_RETURN(uint64_t count, Count(pattern, ctx));
   return count > 0;
-}
-
-StatusOr<std::vector<uint64_t>> QueryEngine::CountBatch(
-    const std::vector<std::string>& patterns) {
-  // Context-free contract: abort on the first error (kept for existing
-  // callers). Still admission-tracked so Drain() covers it.
-  Permit permit;
-  ERA_RETURN_NOT_OK(admission_.Admit(QueryContext::Background(), &permit));
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  std::vector<uint64_t> counts;
-  counts.reserve(patterns.size());
-  // Identical patterns are answered once: the first occurrence does the
-  // descent, duplicates copy its result (views into `patterns`, which
-  // outlives the loop).
-  std::map<std::string_view, uint64_t> memo;
-  for (const std::string& pattern : patterns) {
-    auto it = memo.find(pattern);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      counts.push_back(it->second);
-      continue;
-    }
-    ERA_ASSIGN_OR_RETURN(
-        uint64_t count,
-        CountWithSession(lease.get(), QueryContext::Background(), pattern));
-    memo.emplace(pattern, count);
-    counts.push_back(count);
-  }
-  return counts;
-}
-
-StatusOr<std::vector<std::vector<uint64_t>>> QueryEngine::LocateBatch(
-    const std::vector<std::string>& patterns, std::size_t limit) {
-  Permit permit;
-  ERA_RETURN_NOT_OK(admission_.Admit(QueryContext::Background(), &permit));
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  std::vector<std::vector<uint64_t>> results;
-  results.reserve(patterns.size());
-  // Duplicate folding: memo values index the first occurrence's result so
-  // repeated offset vectors copy instead of re-enumerating leaves.
-  std::map<std::string_view, std::size_t> memo;
-  for (const std::string& pattern : patterns) {
-    auto it = memo.find(pattern);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      results.push_back(results[it->second]);
-      continue;
-    }
-    ERA_ASSIGN_OR_RETURN(auto hits,
-                         LocateWithSession(lease.get(),
-                                           QueryContext::Background(), pattern,
-                                           limit, LocateOrder::kSmallest));
-    memo.emplace(pattern, results.size());
-    results.push_back(std::move(hits));
-  }
-  return results;
-}
-
-namespace {
-
-/// Whether a per-item failure ends the whole batch: the caller's deadline
-/// and cancellation apply to the batch, not the item, so those stop it
-/// mid-flight; anything else (bad pattern, quarantined sub-tree) is that
-/// item's own problem.
-bool TerminatesBatch(const Status& status) {
-  return status.IsDeadlineExceeded() || status.IsCancelled();
-}
-
-}  // namespace
-
-StatusOr<std::vector<CountOutcome>> QueryEngine::CountBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
-  auto trace = MaybeStartTrace("count_batch", ctx);
-  if (trace == nullptr) return CountBatchImpl(ctx, patterns);
-  QueryContext traced = ctx;
-  traced.trace = trace.get();
-  return FinishTraced(trace, CountBatchImpl(traced, patterns));
-}
-
-StatusOr<std::vector<CountOutcome>> QueryEngine::CountBatchImpl(
-    const QueryContext& ctx, const std::vector<std::string>& patterns) {
-  Permit permit;
-  {
-    TraceSpan span(ctx.trace, "admission");
-    ERA_RETURN_NOT_OK(admission_.Admit(ctx, &permit));
-  }
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  ReaderContextGuard guard(lease.get(), &ctx);
-  std::vector<CountOutcome> outcomes(patterns.size());
-  Status terminal;
-  // Duplicate folding happens in original item order, AFTER the terminal
-  // check: a duplicate past the stop point is stamped like any other item,
-  // so the stamp-the-remainder contract is unchanged.
-  std::map<std::string_view, std::size_t> memo;
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    if (!terminal.ok()) {
-      outcomes[i].status = terminal;
-      continue;
-    }
-    auto it = memo.find(patterns[i]);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      outcomes[i] = outcomes[it->second];
-      continue;
-    }
-    auto result = CountWithSession(lease.get(), ctx, patterns[i]);
-    if (result.ok()) {
-      outcomes[i].count = *result;
-      memo.emplace(patterns[i], i);
-    } else {
-      outcomes[i].status = result.status();
-      if (TerminatesBatch(result.status())) {
-        terminal = result.status();
-        admission_.RecordOutcome(terminal);
-      } else {
-        // Per-item failures are deterministic for this batch; fold their
-        // duplicates too rather than re-failing the same way.
-        memo.emplace(patterns[i], i);
-      }
-    }
-  }
-  return outcomes;
-}
-
-StatusOr<std::vector<LocateOutcome>> QueryEngine::LocateBatch(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    std::size_t limit) {
-  auto trace = MaybeStartTrace("locate_batch", ctx);
-  if (trace == nullptr) return LocateBatchImpl(ctx, patterns, limit);
-  QueryContext traced = ctx;
-  traced.trace = trace.get();
-  return FinishTraced(trace, LocateBatchImpl(traced, patterns, limit));
-}
-
-StatusOr<std::vector<LocateOutcome>> QueryEngine::LocateBatchImpl(
-    const QueryContext& ctx, const std::vector<std::string>& patterns,
-    std::size_t limit) {
-  Permit permit;
-  {
-    TraceSpan span(ctx.trace, "admission");
-    ERA_RETURN_NOT_OK(admission_.Admit(ctx, &permit));
-  }
-  Lease lease;
-  ERA_RETURN_NOT_OK(lease.Acquire(this));
-  ReaderContextGuard guard(lease.get(), &ctx);
-  std::vector<LocateOutcome> outcomes(patterns.size());
-  Status terminal;
-  // Same in-order duplicate folding as CountBatchImpl.
-  std::map<std::string_view, std::size_t> memo;
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    if (!terminal.ok()) {
-      outcomes[i].status = terminal;
-      continue;
-    }
-    auto it = memo.find(patterns[i]);
-    if (it != memo.end()) {
-      ++lease.get()->stats.batch_duplicates_folded;
-      outcomes[i] = outcomes[it->second];
-      continue;
-    }
-    auto result = LocateWithSession(lease.get(), ctx, patterns[i], limit,
-                                    LocateOrder::kSmallest);
-    if (result.ok()) {
-      outcomes[i].offsets = std::move(*result);
-      memo.emplace(patterns[i], i);
-    } else {
-      outcomes[i].status = result.status();
-      if (TerminatesBatch(result.status())) {
-        terminal = result.status();
-        admission_.RecordOutcome(terminal);
-      } else {
-        memo.emplace(patterns[i], i);
-      }
-    }
-  }
-  return outcomes;
 }
 
 }  // namespace era

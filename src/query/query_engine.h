@@ -18,13 +18,13 @@
 // per-session I/O and query counters are folded into the engine aggregates
 // when the lease is returned.
 //
-// Overload control: every entry point has a QueryContext overload carrying
+// Overload control: every entry point takes a trailing QueryContext carrying
 // an absolute deadline and a cancellation token, checked at node-visit and
-// device-read boundaries (the context-free overloads run under
-// QueryContext::Background()). All queries pass through an
-// AdmissionController (query/admission.h) — disabled by default, so
-// existing callers only gain the Drain() contract — and serving degradation
-// is counted in ServingStats beside QueryStats.
+// device-read boundaries (it defaults to QueryContext::Background(), which
+// never expires). All queries pass through an AdmissionController
+// (query/admission.h) — disabled by default, so existing callers only gain
+// the Drain() contract — and serving degradation is counted in ServingStats
+// beside QueryStats.
 
 #ifndef ERA_QUERY_QUERY_ENGINE_H_
 #define ERA_QUERY_QUERY_ENGINE_H_
@@ -83,9 +83,9 @@ struct QueryEngineOptions {
 /// Aggregate query-path counters (device traffic is in IoStats; these count
 /// tree work).
 struct QueryStats {
-  /// Completed Count/Locate/Contains calls (batch items count individually,
-  /// except duplicates folded from an earlier identical item — those count
-  /// only in batch_duplicates_folded).
+  /// Completed Count/Locate/Contains calls plus the distinct patterns a
+  /// MatchDictionary batch answered (an item folded into an identical
+  /// pattern of the same batch counts only in batch_duplicates_folded).
   uint64_t queries = 0;
   /// Counts answered from the trie alone (no sub-tree open).
   uint64_t trie_resolved_counts = 0;
@@ -97,7 +97,7 @@ struct QueryStats {
   /// loaded (corrupt or unreadable after retries). The failure is per-query:
   /// patterns routed to healthy sub-trees keep succeeding.
   uint64_t unavailable_queries = 0;
-  /// Batch items answered by copying the outcome of an identical earlier
+  /// MatchDictionary items answered by copying the outcome of an identical
   /// pattern in the same batch (no descent, no leaf work).
   uint64_t batch_duplicates_folded = 0;
   /// Same-sub-tree pattern groups formed by MatchDictionary (one sub-tree
@@ -132,20 +132,6 @@ struct QueryStatsField {
 };
 const std::vector<QueryStatsField>& QueryStatsFields();
 
-/// Per-item result of a context-aware batch. A batch stops mid-flight on
-/// deadline expiry or cancellation: items already answered keep their
-/// results, the item that hit the boundary and everything after it carry
-/// that terminal status. Non-fatal per-item failures (bad pattern, sub-tree
-/// unavailable) do not stop the batch.
-struct CountOutcome {
-  Status status;
-  uint64_t count = 0;
-};
-struct LocateOutcome {
-  Status status;
-  std::vector<uint64_t> offsets;
-};
-
 /// What a limited Locate promises about WHICH occurrences it returns.
 enum class LocateOrder {
   /// The smallest `limit` offsets: every occurrence is enumerated, then a
@@ -172,8 +158,12 @@ struct DictMatchOptions {
 
 /// Per-pattern result of MatchDictionary. `count` is the full occurrence
 /// count in both modes; `offsets` is filled only in locate mode (ascending,
-/// at most locate_limit entries, smallest first). Per-item and terminal
-/// statuses follow the CountOutcome batch contract.
+/// at most locate_limit entries, smallest first).
+///
+/// The batch contract: a batch stops mid-flight on deadline expiry or
+/// cancellation — items already answered keep their results, every item
+/// still unresolved carries that terminal status. Non-fatal per-item
+/// failures (empty pattern, sub-tree unavailable) do not stop the batch.
 struct DictOutcome {
   Status status;
   uint64_t count = 0;
@@ -193,8 +183,9 @@ class QueryEngine {
 
   /// Number of occurrences of `pattern` in the text. O(|P|) — answered from
   /// trie frequencies or the match node's subtree leaf count.
-  StatusOr<uint64_t> Count(const std::string& pattern);
-  StatusOr<uint64_t> Count(const QueryContext& ctx, const std::string& pattern);
+  StatusOr<uint64_t> Count(
+      const std::string& pattern,
+      const QueryContext& ctx = QueryContext::Background());
 
   /// Starting offsets of occurrences, ascending. With a `limit`, `order`
   /// picks the contract: kSmallest (default) collects every occurrence and
@@ -202,52 +193,30 @@ class QueryEngine {
   /// leaf slots (see LocateOrder).
   StatusOr<std::vector<uint64_t>> Locate(
       const std::string& pattern, std::size_t limit = SIZE_MAX,
-      LocateOrder order = LocateOrder::kSmallest);
-  StatusOr<std::vector<uint64_t>> Locate(
-      const QueryContext& ctx, const std::string& pattern,
-      std::size_t limit = SIZE_MAX, LocateOrder order = LocateOrder::kSmallest);
+      LocateOrder order = LocateOrder::kSmallest,
+      const QueryContext& ctx = QueryContext::Background());
 
   /// True iff `pattern` occurs at least once (via Count; no enumeration).
-  StatusOr<bool> Contains(const std::string& pattern);
-  StatusOr<bool> Contains(const QueryContext& ctx, const std::string& pattern);
+  StatusOr<bool> Contains(
+      const std::string& pattern,
+      const QueryContext& ctx = QueryContext::Background());
 
-  /// Batched variants: one leased reader session (and one admission permit)
-  /// serves the whole batch. Identical patterns in a batch are answered
-  /// once and the result fanned back out to every duplicate (counted in
-  /// QueryStats::batch_duplicates_folded); items are still processed — and
-  /// terminal statuses stamped — in their original order.
-  StatusOr<std::vector<uint64_t>> CountBatch(
-      const std::vector<std::string>& patterns);
-  StatusOr<std::vector<std::vector<uint64_t>>> LocateBatch(
-      const std::vector<std::string>& patterns, std::size_t limit = SIZE_MAX);
-
-  /// Context-aware batches report per-item outcomes instead of aborting the
-  /// whole batch on the first error (see CountOutcome). The outer status is
-  /// only non-OK when the batch never ran (shed by admission, or no reader
-  /// session).
-  StatusOr<std::vector<CountOutcome>> CountBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<LocateOutcome>> LocateBatch(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t limit = SIZE_MAX);
-
-  /// Shared-descent dictionary matching: answers the whole pattern set in
-  /// one batched pass. Patterns are deduplicated and sorted (memcmp order,
-  /// which is also the tree's child order), grouped by target sub-tree, and
-  /// each group descends the tree with a pattern-range cursor — every tree
-  /// edge is walked at most once per distinct shared prefix, and each
-  /// touched sub-tree is opened exactly once. Results are byte-identical to
-  /// running the per-pattern Count/Locate loop. Outcomes are index-aligned
-  /// with `patterns`; the outer status is only non-OK when the batch never
-  /// ran (CountOutcome contract). Deadline/cancel checkpoints sit at group
-  /// and node boundaries, and a terminal status stamps the item that hit
-  /// the boundary plus everything unresolved after it.
+  /// The batch entry point. Shared-descent dictionary matching answers the
+  /// whole pattern set in one pass on one leased session (and one admission
+  /// permit). Patterns are deduplicated (QueryStats::batch_duplicates_folded)
+  /// and sorted (memcmp order, which is also the tree's child order),
+  /// grouped by target sub-tree, and each group descends the tree with a
+  /// pattern-range cursor — every tree edge is walked at most once per
+  /// distinct shared prefix, and each touched sub-tree is opened exactly
+  /// once. Results are byte-identical to running the per-pattern
+  /// Count/Locate loop. Outcomes are index-aligned with `patterns` and follow
+  /// the DictOutcome batch contract; the outer status is only non-OK when the
+  /// batch never ran (shed by admission, or no reader session).
+  /// Deadline/cancel checkpoints sit at group and node boundaries.
   StatusOr<std::vector<DictOutcome>> MatchDictionary(
       const std::vector<std::string>& patterns,
-      const DictMatchOptions& options = DictMatchOptions{});
-  StatusOr<std::vector<DictOutcome>> MatchDictionary(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      const DictMatchOptions& options = DictMatchOptions{});
+      const DictMatchOptions& options = DictMatchOptions{},
+      const QueryContext& ctx = QueryContext::Background());
 
   const TreeIndex& index() const { return index_; }
   /// Snapshot of the accumulated I/O of retired sessions (sub-tree loads,
@@ -269,7 +238,7 @@ class QueryEngine {
   /// Trace recorder when tracing is enabled in the options, else null.
   TraceRecorder* tracer() const { return tracer_.get(); }
   /// Graceful shutdown: sheds queued work, refuses new queries with
-  /// ResourceExhausted (even through the context-free overloads), lets
+  /// ResourceExhausted (even under the default Background() context), lets
   /// in-flight queries finish. Follow with admission().WaitIdle() to block
   /// until they have.
   void Drain() { admission_.Drain(); }
@@ -338,14 +307,34 @@ class QueryEngine {
   /// off or the sampler skips this request.
   std::shared_ptr<Trace> MaybeStartTrace(const char* label,
                                          const QueryContext& ctx);
-  /// Finishes `trace` (no-op when null) and passes `result` through.
-  template <typename T>
-  StatusOr<T> FinishTraced(const std::shared_ptr<Trace>& trace,
-                           StatusOr<T> result) {
-    if (trace != nullptr) {
-      tracer_->FinishTrace(trace,
-                           result.ok() ? Status::OK() : result.status());
-    }
+
+  /// Runs one top-level request: a sampled trace labelled `label`, the
+  /// admission permit (under an "admission" span), a leased session with
+  /// the context bound to its reader, then `body(session, ctx)`. A failed
+  /// result is billed to admission. A template rather than a
+  /// std::function, so the wrapper itself allocates nothing, and the
+  /// untraced path hands the caller's `ctx` to the body uncopied.
+  template <typename T, typename Body>
+  StatusOr<T> Serve(const char* label, const QueryContext& ctx, Body&& body) {
+    auto admitted = [&](const QueryContext& c) -> StatusOr<T> {
+      Permit permit;
+      {
+        TraceSpan span(c.trace, "admission");
+        ERA_RETURN_NOT_OK(admission_.Admit(c, &permit));
+      }
+      Lease lease;
+      ERA_RETURN_NOT_OK(lease.Acquire(this));
+      ReaderContextGuard guard(lease.get(), &c);
+      StatusOr<T> result = body(lease.get(), c);
+      if (!result.ok()) admission_.RecordOutcome(result.status());
+      return result;
+    };
+    std::shared_ptr<Trace> trace = MaybeStartTrace(label, ctx);
+    if (trace == nullptr) return admitted(ctx);
+    QueryContext traced = ctx;
+    traced.trace = trace.get();
+    StatusOr<T> result = admitted(traced);
+    tracer_->FinishTrace(trace, result.ok() ? Status::OK() : result.status());
     return result;
   }
 
@@ -363,23 +352,6 @@ class QueryEngine {
   /// open, or a block load during the walk): OK, deadline and cancellation
   /// pass through; anything else is quarantined and becomes Unavailable.
   Status SubTreeFailure(uint32_t id, Session* session, const Status& status);
-
-  /// Bodies of the public context-aware entry points (admission → lease →
-  /// per-session work). The public wrappers only add trace start/finish.
-  StatusOr<uint64_t> CountImpl(const QueryContext& ctx,
-                               const std::string& pattern);
-  StatusOr<std::vector<uint64_t>> LocateImpl(const QueryContext& ctx,
-                                             const std::string& pattern,
-                                             std::size_t limit,
-                                             LocateOrder order);
-  StatusOr<std::vector<CountOutcome>> CountBatchImpl(
-      const QueryContext& ctx, const std::vector<std::string>& patterns);
-  StatusOr<std::vector<LocateOutcome>> LocateBatchImpl(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      std::size_t limit);
-  StatusOr<std::vector<DictOutcome>> MatchDictionaryImpl(
-      const QueryContext& ctx, const std::vector<std::string>& patterns,
-      const DictMatchOptions& options);
 
   StatusOr<uint64_t> CountWithSession(Session* session,
                                       const QueryContext& ctx,
@@ -432,23 +404,6 @@ class QueryEngine {
   std::unique_ptr<TraceRecorder> tracer_;
   std::atomic<uint64_t> trace_tick_{0};  // sampling counter
 };
-
-/// Collects the leaf ids under `node` in DFS (lexicographic) order, up to
-/// `limit` (test- and query-shared helper for linked trees).
-void CollectLeaves(const TreeBuffer& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves, std::size_t limit);
-
-/// Counted-layout collection: appends ALL leaf ids under `node` by linearly
-/// scanning its contiguous descendant block (stops after the node's subtree
-/// leaf count; not lexicographic — callers sort).
-void CollectLeaves(const CountedTree& tree, uint32_t node,
-                   std::vector<uint64_t>* leaves);
-
-/// Context-aware counted-layout collection: same scan, but the context is
-/// checked every few thousand slots so a huge enumeration (the expensive
-/// tail of Locate) abandons promptly on deadline expiry or cancellation.
-Status CollectLeaves(const CountedTree& tree, uint32_t node,
-                     const QueryContext& ctx, std::vector<uint64_t>* leaves);
 
 }  // namespace era
 

@@ -370,12 +370,12 @@ int CmdQuery(const std::vector<std::string>& args) {
     return code;
   };
 
-  auto count = (*engine)->Count(ctx, args[1]);
+  auto count = (*engine)->Count(args[1], ctx);
   if (!count.ok()) {
     PrintDegradation();
     return finish(Fail(count.status()));
   }
-  auto hits = (*engine)->Locate(ctx, args[1], limit);
+  auto hits = (*engine)->Locate(args[1], limit, LocateOrder::kSmallest, ctx);
   if (!hits.ok()) {
     PrintDegradation();
     return finish(Fail(hits.status()));
@@ -667,7 +667,7 @@ int CmdDocQuery(const std::vector<std::string>& args) {
     return code;
   };
 
-  auto histogram = (*engine)->DocumentHistogram(ctx, pattern);
+  auto histogram = (*engine)->DocumentHistogram(pattern, ctx);
   if (!histogram.ok()) return finish(FailDocQuery(histogram.status()));
   uint64_t occurrences = 0;
   for (const DocHit& hit : *histogram) occurrences += hit.occurrences;
@@ -684,7 +684,7 @@ int CmdDocQuery(const std::vector<std::string>& args) {
   if (!doc_name.empty()) {
     auto doc_id = (*engine)->documents().FindDocument(doc_name);
     if (!doc_id.ok()) return Fail(doc_id.status());
-    auto local = (*engine)->LocateInDoc(ctx, pattern, *doc_id);
+    auto local = (*engine)->LocateInDoc(pattern, *doc_id, ctx);
     if (!local.ok()) return finish(FailDocQuery(local.status()));
     std::printf("%s: %zu occurrence(s)", doc_name.c_str(), local->size());
     const std::size_t shown = std::min<std::size_t>(local->size(), 20);
@@ -764,7 +764,7 @@ int CmdDictQuery(const std::vector<std::string>& args) {
   std::vector<Status> statuses(patterns.size(), Status::OK());
   std::vector<uint64_t> counts(patterns.size(), 0);
   if (doc_mode) {
-    auto outcomes = doc_engine->CountDocsDictionary(ctx, patterns);
+    auto outcomes = doc_engine->CountDocsDictionary(patterns, ctx);
     if (!outcomes.ok()) {
       PrintDegradation();
       return finish(Fail(outcomes.status()));
@@ -774,7 +774,7 @@ int CmdDictQuery(const std::vector<std::string>& args) {
       counts[i] = (*outcomes)[i].count;
     }
   } else {
-    auto outcomes = engine->MatchDictionary(ctx, patterns);
+    auto outcomes = engine->MatchDictionary(patterns, DictMatchOptions{}, ctx);
     if (!outcomes.ok()) {
       PrintDegradation();
       return finish(Fail(outcomes.status()));

@@ -551,7 +551,7 @@ TEST(DocEngineTest, V1MirrorAnswersIdentically) {
   }
 }
 
-TEST(DocEngineTest, BatchedVariantsMatchSingles) {
+TEST(DocEngineTest, DictionaryCountsMatchSingles) {
   MemEnv env;
   CollectionBuilder builder(Alphabet::Dna(),
                             SmallCollectionOptions(&env, "/batch"));
@@ -560,24 +560,24 @@ TEST(DocEngineTest, BatchedVariantsMatchSingles) {
   auto engine = DocEngine::Open(&env, "/batch");
   ASSERT_TRUE(engine.ok());
 
-  std::vector<std::string> patterns = {"A", "AC", "GT", "ACGTACGT", "TTTT"};
-  auto counts = (*engine)->CountDocsBatch(patterns);
-  ASSERT_TRUE(counts.ok());
-  auto topks = (*engine)->TopKDocumentsBatch(patterns, 3);
-  ASSERT_TRUE(topks.ok());
-  ASSERT_EQ(counts->size(), patterns.size());
-  ASSERT_EQ(topks->size(), patterns.size());
+  // Invalid items (empty, reserved separator) fail on their own; the valid
+  // items around them still get the per-pattern answers.
+  std::vector<std::string> patterns = {"A",  "AC",   "GT", "ACGTACGT",
+                                       "",   "TTTT", "|",  "AC"};
+  auto outcomes = (*engine)->CountDocsDictionary(patterns);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  ASSERT_EQ(outcomes->size(), patterns.size());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
     auto count = (*engine)->CountDocs(patterns[i]);
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ((*counts)[i], *count);
-    auto topk = (*engine)->TopKDocuments(patterns[i], 3);
-    ASSERT_TRUE(topk.ok());
-    EXPECT_EQ((*topks)[i], *topk);
+    const CountOutcome& outcome = (*outcomes)[i];
+    ASSERT_EQ(outcome.status.code(), count.status().code())
+        << "pattern: " << patterns[i];
+    if (count.ok()) {
+      EXPECT_EQ(outcome.count, *count) << "pattern: " << patterns[i];
+    } else {
+      EXPECT_TRUE(outcome.status.IsInvalidArgument());
+    }
   }
-  // Errors propagate out of batches.
-  EXPECT_FALSE((*engine)->CountDocsBatch({"A", "|"}).ok());
-  EXPECT_FALSE((*engine)->TopKDocumentsBatch({"A", ""}, 2).ok());
 }
 
 }  // namespace

@@ -294,7 +294,7 @@ TEST(CorruptionTest, DeadlineDuringBlockMissIsNotQuarantined) {
   // The deadline passes while the first block load is on the device; the
   // query stops at its next boundary and the file is not blamed.
   const QueryContext ctx = QueryContext::WithTimeout(0.02);
-  auto count = (*engine)->Count(ctx, pattern);
+  auto count = (*engine)->Count(pattern, ctx);
   EXPECT_TRUE(count.status().IsDeadlineExceeded())
       << count.status().ToString();
   EXPECT_TRUE((*engine)->quarantine().empty());

@@ -107,9 +107,12 @@ TEST_F(DocConcurrencyTest, EightThreadsMatchSerialAnswers) {
             break;
           }
           default: {
-            auto counts = engine_->CountDocsBatch({pattern});
-            if (!counts.ok() || counts->size() != 1) ++errors;
-            else if ((*counts)[0] != expected_histograms_[i].size()) {
+            auto outcomes = engine_->CountDocsDictionary({pattern});
+            if (!outcomes.ok() || outcomes->size() != 1 ||
+                !(*outcomes)[0].status.ok()) {
+              ++errors;
+            } else if ((*outcomes)[0].count !=
+                       expected_histograms_[i].size()) {
               ++mismatches;
             }
             break;

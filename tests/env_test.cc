@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 
 #include "io/env.h"
 #include "io/mem_env.h"
@@ -24,6 +25,10 @@ class EnvKinds : public ::testing::TestWithParam<bool> {
                   std::chrono::steady_clock::now().time_since_epoch().count());
       ASSERT_TRUE(env_->CreateDir(base_).ok());
     }
+  }
+
+  void TearDown() override {
+    if (!GetParam()) std::filesystem::remove_all(base_);
   }
 
   MemEnv mem_env_;
@@ -181,10 +186,12 @@ TEST(MemEnvTest, FileCount) {
 
 TEST(PosixEnvTest, CreateDirNested) {
   Env* env = GetDefaultEnv();
-  std::string dir = ::testing::TempDir() + "era_nested/a/b/c";
+  const std::string root = ::testing::TempDir() + "era_nested";
+  std::string dir = root + "/a/b/c";
   ASSERT_TRUE(env->CreateDir(dir).ok());
   ASSERT_TRUE(env->WriteFile(dir + "/f", "x").ok());
   EXPECT_TRUE(env->FileExists(dir + "/f"));
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

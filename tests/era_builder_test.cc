@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "era/parallel_builder.h"
+#include "io/faulty_env.h"
 #include "io/mem_env.h"
 #include "suffixtree/validator.h"
 #include "tests/test_util.h"
@@ -199,6 +201,34 @@ TEST(EraBuilderTest, FailsCleanlyOnLengthMismatch) {
   EraBuilder builder(options);
   auto result = builder.Build(info);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(EraBuilderTest, RejectsTextOverMaxLengthBeforeAnyIo) {
+  // A fabricated TextInfo one byte over the limit, naming a file that does
+  // not exist: the check must fire before the text is even looked up, so
+  // the build reports InvalidArgument rather than the missing file's
+  // IOError (FailsCleanlyOnMissingText), and no read or write happens.
+  MemEnv base;
+  FaultyEnv env(&base, FaultSpec{});
+  BuildOptions options;
+  options.env = &env;
+  options.work_dir = "/idx";
+  const TextInfo info{"/missing", kMaxTextLength + 1, Alphabet::Dna()};
+
+  auto serial = EraBuilder(options).Build(info);
+  EXPECT_TRUE(serial.status().IsInvalidArgument())
+      << serial.status().ToString();
+  auto parallel = ParallelBuilder(options, 2).Build(info);
+  EXPECT_TRUE(parallel.status().IsInvalidArgument())
+      << parallel.status().ToString();
+  EXPECT_EQ(env.stats().reads, 0u);
+  EXPECT_EQ(env.stats().writes, 0u);
+  EXPECT_EQ(base.FileCount(), 0u);
+
+  // The limit itself is accepted by the check.
+  EXPECT_TRUE(
+      ValidateBuildText(TextInfo{"/missing", kMaxTextLength, Alphabet::Dna()})
+          .ok());
 }
 
 TEST(EraBuilderTest, StatsAreCoherent) {

@@ -1,7 +1,8 @@
 // Engine-level overload behavior: deadline expiry and cancellation through
 // the full serving stack (admission -> trie descent -> sub-tree loads ->
-// reader refills), batches stopping mid-flight, drain semantics, and an
-// 8-thread deadline storm. Runs under the ThreadSanitizer CI job.
+// reader refills) on every QueryEngine and DocEngine entry point, dictionary
+// batches stopping mid-flight, drain semantics, and an 8-thread deadline
+// storm. Runs under the ThreadSanitizer CI job.
 //
 // The serving engines sit on a LatencyEnv over the MemEnv so queries cost
 // real wall time (otherwise nothing can expire mid-flight deterministically);
@@ -12,10 +13,13 @@
 #include <atomic>
 #include <chrono>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "collection/collection_builder.h"
+#include "collection/doc_engine.h"
 #include "era/era_builder.h"
 #include "io/latency_env.h"
 #include "io/mem_env.h"
@@ -66,6 +70,75 @@ class OverloadTest : public ::testing::Test {
     }
   }
 
+  /// `n` distinct text substrings. MatchDictionary folds duplicates before
+  /// routing, so a batch meant to run long must not repeat patterns.
+  std::vector<std::string> DistinctPatterns(std::size_t n) const {
+    std::vector<std::string> patterns;
+    std::set<std::string> seen;
+    for (std::size_t i = 0; patterns.size() < n; ++i) {
+      std::string pattern = text_.substr((i * 7919) % (text_.size() - 32),
+                                         6 + i % 17);
+      if (seen.insert(pattern).second) patterns.push_back(std::move(pattern));
+    }
+    return patterns;
+  }
+
+  /// The answers MatchDictionary must reproduce, from the context-free
+  /// per-pattern loop on the unloaded engine.
+  std::vector<DictOutcome> Expected(const std::vector<std::string>& patterns,
+                                    const DictMatchOptions& options) {
+    std::vector<DictOutcome> expected(patterns.size());
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      auto count = fast_engine_->Count(patterns[i]);
+      EXPECT_TRUE(count.ok());
+      expected[i].count = count.ok() ? *count : 0;
+      if (!options.locate) continue;
+      auto hits = fast_engine_->Locate(patterns[i], options.locate_limit);
+      EXPECT_TRUE(hits.ok());
+      if (hits.ok()) expected[i].offsets = std::move(*hits);
+    }
+    return expected;
+  }
+
+  /// The batch contract under a terminal status: every item is the correct
+  /// answer or carries the `terminal` code with nothing else filled in, and
+  /// at least one item was stopped.
+  static void ExpectCorrectOrTerminal(
+      const std::vector<DictOutcome>& outcomes,
+      const std::vector<DictOutcome>& expected, Status::Code terminal) {
+    EXPECT_EQ(outcomes.size(), expected.size());
+    std::size_t stopped = 0;
+    for (std::size_t i = 0; i < outcomes.size() && i < expected.size(); ++i) {
+      const DictOutcome& outcome = outcomes[i];
+      if (outcome.status.code() == terminal) {
+        ++stopped;
+        EXPECT_EQ(outcome.count, 0u);
+        EXPECT_TRUE(outcome.offsets.empty());
+        continue;
+      }
+      EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+      EXPECT_EQ(outcome.count, expected[i].count) << "item " << i;
+      EXPECT_EQ(outcome.offsets, expected[i].offsets) << "item " << i;
+    }
+    EXPECT_GT(stopped, 0u) << "the terminal status landed after the batch";
+  }
+
+  /// A small synthetic collection index on the same MemEnv.
+  std::unique_ptr<DocEngine> OpenDocEngine() {
+    CollectionBuildOptions options;
+    options.build.env = &env_;
+    options.build.work_dir = "/docs";
+    options.build.memory_budget = 512 << 10;
+    options.build.input_buffer_bytes = 4096;
+    CollectionBuilder builder(Alphabet::Dna(), options);
+    EXPECT_TRUE(builder.AddSyntheticDocuments(12, 200, 3).ok());
+    auto built = builder.Build();
+    EXPECT_TRUE(built.ok()) << built.status().ToString();
+    auto doc = DocEngine::Open(&env_, "/docs");
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    return doc.ok() ? std::move(*doc) : nullptr;
+  }
+
   /// An engine whose device charges `latency_seconds` per request, so
   /// queries take real wall time and deadlines can expire mid-flight.
   std::unique_ptr<QueryEngine> SlowEngine(double latency_seconds,
@@ -91,67 +164,98 @@ class OverloadTest : public ::testing::Test {
 TEST_F(OverloadTest, ExpiredContextFailsFastOnEveryEntryPoint) {
   QueryContext expired = QueryContext::WithDeadline(Clock::now());
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_TRUE(fast_engine_->Count(expired, patterns_[0])
+  const std::string& pattern = patterns_[0];
+  EXPECT_TRUE(
+      fast_engine_->Count(pattern, expired).status().IsDeadlineExceeded());
+  EXPECT_TRUE(fast_engine_->Locate(pattern, SIZE_MAX, LocateOrder::kSmallest,
+                                   expired)
                   .status()
                   .IsDeadlineExceeded());
-  EXPECT_TRUE(fast_engine_->Locate(expired, patterns_[0])
+  EXPECT_TRUE(
+      fast_engine_->Contains(pattern, expired).status().IsDeadlineExceeded());
+  EXPECT_TRUE(fast_engine_->MatchDictionary({pattern}, {}, expired)
                   .status()
                   .IsDeadlineExceeded());
-  EXPECT_TRUE(fast_engine_->Contains(expired, patterns_[0])
-                  .status()
-                  .IsDeadlineExceeded());
-  EXPECT_GE(fast_engine_->serving().deadline_exceeded, 3u);
+  EXPECT_GE(fast_engine_->serving().deadline_exceeded, 4u);
 
   // The engine is unharmed: the same query succeeds context-free.
-  auto count = fast_engine_->Count(patterns_[0]);
+  auto count = fast_engine_->Count(pattern);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, expected_counts_[0]);
+
+  auto doc = OpenDocEngine();
+  ASSERT_NE(doc, nullptr);
+  EXPECT_TRUE(doc->CountDocs(pattern, expired).status().IsDeadlineExceeded());
+  EXPECT_TRUE(
+      doc->TopKDocuments(pattern, 3, expired).status().IsDeadlineExceeded());
+  EXPECT_TRUE(
+      doc->LocateInDoc(pattern, 0, expired).status().IsDeadlineExceeded());
+  EXPECT_TRUE(
+      doc->DocumentHistogram(pattern, expired).status().IsDeadlineExceeded());
+  EXPECT_TRUE(doc->CountDocsDictionary({pattern}, expired)
+                  .status()
+                  .IsDeadlineExceeded());
+  EXPECT_EQ(doc->doc_stats().deadline_exceeded, 5u);
+  EXPECT_EQ(doc->serving().deadline_exceeded, 5u);
+  EXPECT_TRUE(doc->CountDocs(pattern).ok());
 }
 
 TEST_F(OverloadTest, CancelledContextReportsCancelled) {
   QueryContext ctx;
   ctx.cancel.Cancel();
-  EXPECT_TRUE(fast_engine_->Count(ctx, patterns_[0]).status().IsCancelled());
-  EXPECT_GE(fast_engine_->serving().cancelled, 1u);
+  const std::string& pattern = patterns_[0];
+  EXPECT_TRUE(fast_engine_->Count(pattern, ctx).status().IsCancelled());
+  EXPECT_TRUE(
+      fast_engine_->Locate(pattern, 25, LocateOrder::kArbitrary, ctx)
+          .status()
+          .IsCancelled());
+  EXPECT_TRUE(fast_engine_->Contains(pattern, ctx).status().IsCancelled());
+  EXPECT_TRUE(fast_engine_->MatchDictionary({pattern}, {}, ctx)
+                  .status()
+                  .IsCancelled());
+  EXPECT_EQ(fast_engine_->serving().cancelled, 4u);
+
+  auto doc = OpenDocEngine();
+  ASSERT_NE(doc, nullptr);
+  EXPECT_TRUE(doc->CountDocs(pattern, ctx).status().IsCancelled());
+  EXPECT_TRUE(doc->TopKDocuments(pattern, 3, ctx).status().IsCancelled());
+  EXPECT_TRUE(doc->LocateInDoc(pattern, 0, ctx).status().IsCancelled());
+  EXPECT_TRUE(doc->DocumentHistogram(pattern, ctx).status().IsCancelled());
+  EXPECT_TRUE(doc->CountDocsDictionary({pattern}, ctx).status().IsCancelled());
+  EXPECT_EQ(doc->serving().cancelled, 5u);
+  // Cancellation bills as "the caller stopped waiting".
+  EXPECT_EQ(doc->doc_stats().deadline_exceeded, 5u);
 }
 
 TEST_F(OverloadTest, MidBatchCancellationLeavesEngineReusable) {
-  // ~1ms of device time per request: a 600-item batch runs for hundreds of
-  // milliseconds, so a cancel fired at 60ms lands mid-flight.
+  // 20ms of device time per request on a two-deep device queue: a fresh
+  // engine attaches each of the batch's sub-trees (whole-file reads) before
+  // their groups finish, which alone keeps the batch in flight for well over
+  // 100ms, so a cancel fired 10ms after admission lands mid-batch.
   QueryEngineOptions options;
-  options.cache.budget_bytes = 64 << 10;  // tiny cache: loads keep happening
-  auto engine = SlowEngine(0.001, options);
+  options.cache.budget_bytes = 64 << 10;
+  auto engine = SlowEngine(0.02, options);
   ASSERT_NE(engine, nullptr);
 
-  std::vector<std::string> batch;
-  for (std::size_t i = 0; i < 600; ++i) {
-    batch.push_back(patterns_[i % patterns_.size()]);
-  }
+  const std::vector<std::string> batch = DistinctPatterns(600);
+  DictMatchOptions locate_mode;
+  locate_mode.locate = true;
+  locate_mode.locate_limit = 25;
+  const std::vector<DictOutcome> expected = Expected(batch, locate_mode);
 
   QueryContext ctx;
   std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    const auto give_up = Clock::now() + std::chrono::seconds(5);
+    while (engine->admission().in_flight() == 0 && Clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
     ctx.cancel.Cancel();
   });
-  auto outcomes = engine->LocateBatch(ctx, batch, 25);
+  auto outcomes = engine->MatchDictionary(batch, locate_mode, ctx);
   canceller.join();
   ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-  ASSERT_EQ(outcomes->size(), batch.size());
-
-  // Once an item observes the cancellation, it and every later item carry
-  // Cancelled; completed items keep their (correct) answers.
-  std::size_t first_cancelled = outcomes->size();
-  for (std::size_t i = 0; i < outcomes->size(); ++i) {
-    const LocateOutcome& outcome = (*outcomes)[i];
-    if (outcome.status.IsCancelled()) {
-      first_cancelled = std::min(first_cancelled, i);
-      continue;
-    }
-    ASSERT_LT(i, first_cancelled) << "non-cancelled item after cancellation";
-    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-    EXPECT_EQ(outcome.offsets, expected_hits_[i % patterns_.size()]);
-  }
-  EXPECT_LT(first_cancelled, outcomes->size()) << "cancel landed too late";
+  ExpectCorrectOrTerminal(*outcomes, expected, Status::Code::kCancelled);
   EXPECT_GE(engine->serving().cancelled, 1u);
 
   // The engine (and its pooled readers) must be fully reusable.
@@ -165,29 +269,20 @@ TEST_F(OverloadTest, MidBatchCancellationLeavesEngineReusable) {
 TEST_F(OverloadTest, BatchDeadlineStampsRemainingItems) {
   QueryEngineOptions options;
   options.cache.budget_bytes = 64 << 10;
-  auto engine = SlowEngine(0.001, options);
+  auto engine = SlowEngine(0.02, options);
   ASSERT_NE(engine, nullptr);
 
-  std::vector<std::string> batch;
-  for (std::size_t i = 0; i < 600; ++i) {
-    batch.push_back(patterns_[i % patterns_.size()]);
-  }
+  // At 20ms per request the batch's sub-tree attaches alone outlast a 50ms
+  // deadline (see MidBatchCancellation): unresolved items carry
+  // DeadlineExceeded, resolved ones are correct.
+  const std::vector<std::string> batch = DistinctPatterns(600);
+  const std::vector<DictOutcome> expected = Expected(batch, {});
   QueryContext ctx = QueryContext::WithTimeout(0.05);
-  auto outcomes = engine->CountBatch(ctx, batch);
+  auto outcomes = engine->MatchDictionary(batch, {}, ctx);
   ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-  ASSERT_EQ(outcomes->size(), batch.size());
-  // The tail of the batch must be DeadlineExceeded (the batch cannot finish
-  // 600 device-bound items in 50ms), and completed prefix items are correct.
-  EXPECT_TRUE(outcomes->back().status.IsDeadlineExceeded());
-  for (std::size_t i = 0; i < outcomes->size(); ++i) {
-    const CountOutcome& outcome = (*outcomes)[i];
-    if (outcome.status.ok()) {
-      EXPECT_EQ(outcome.count, expected_counts_[i % patterns_.size()]);
-    } else {
-      EXPECT_TRUE(outcome.status.IsDeadlineExceeded())
-          << outcome.status.ToString();
-    }
-  }
+  ExpectCorrectOrTerminal(*outcomes, expected,
+                          Status::Code::kDeadlineExceeded);
+  EXPECT_GE(engine->serving().deadline_exceeded, 1u);
 }
 
 TEST_F(OverloadTest, DeadlineStormKeepsEveryAnswerCorrectOrAbandoned) {
@@ -214,7 +309,7 @@ TEST_F(OverloadTest, DeadlineStormKeepsEveryAnswerCorrectOrAbandoned) {
             QueryContext::WithTimeout(deadline_ms(rng) / 1000.0);
         ctx.client_id = t;
         if (i % 2 == 0) {
-          auto count = engine->Count(ctx, patterns_[i]);
+          auto count = engine->Count(patterns_[i], ctx);
           if (count.ok()) {
             ++ok;
             if (*count != expected_counts_[i]) ++wrong;
@@ -226,7 +321,8 @@ TEST_F(OverloadTest, DeadlineStormKeepsEveryAnswerCorrectOrAbandoned) {
             ++illegal;
           }
         } else {
-          auto hits = engine->Locate(ctx, patterns_[i], 25);
+          auto hits = engine->Locate(patterns_[i], 25,
+                                     LocateOrder::kSmallest, ctx);
           if (hits.ok()) {
             ++ok;
             if (*hits != expected_hits_[i]) ++wrong;
@@ -265,16 +361,20 @@ TEST_F(OverloadTest, DrainRejectsNewWorkWhileInFlightCompletes) {
   auto engine = SlowEngine(0.001, options);
   ASSERT_NE(engine, nullptr);
 
-  // A long device-bound batch holds its admission slot for its whole run
-  // (admission is disabled here — Drain's contract must hold regardless).
-  std::vector<std::string> batch;
-  for (std::size_t i = 0; i < 300; ++i) {
-    batch.push_back(patterns_[i % patterns_.size()]);
-  }
+  // A long device-bound batch of distinct patterns holds its admission slot
+  // for its whole run (admission is disabled here — Drain's contract must
+  // hold regardless).
+  const std::vector<std::string> batch = DistinctPatterns(300);
+  const std::vector<DictOutcome> expected = Expected(batch, {});
   std::atomic<bool> batch_ok{false};
   std::thread in_flight([&] {
-    auto counts = engine->CountBatch(batch);
-    batch_ok.store(counts.ok() && counts->size() == batch.size());
+    auto outcomes = engine->MatchDictionary(batch);
+    bool ok = outcomes.ok() && outcomes->size() == batch.size();
+    for (std::size_t i = 0; ok && i < batch.size(); ++i) {
+      ok = (*outcomes)[i].status.ok() &&
+           (*outcomes)[i].count == expected[i].count;
+    }
+    batch_ok.store(ok);
   });
 
   // Wait until the batch is genuinely in flight, then drain.
@@ -288,7 +388,7 @@ TEST_F(OverloadTest, DrainRejectsNewWorkWhileInFlightCompletes) {
   // New work is refused with ResourceExhausted while draining...
   EXPECT_TRUE(
       engine->Count(patterns_[0]).status().IsResourceExhausted());
-  EXPECT_TRUE(engine->Count(QueryContext::Background(), patterns_[0])
+  EXPECT_TRUE(engine->MatchDictionary({patterns_[0]})
                   .status()
                   .IsResourceExhausted());
 
@@ -310,7 +410,7 @@ TEST_F(OverloadTest, DocEngineStatsSplitDegradation) {
   // under mixed failures.
   QueryContext expired = QueryContext::WithDeadline(Clock::now());
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  (void)fast_engine_->Count(expired, patterns_[0]);
+  (void)fast_engine_->Count(patterns_[0], expired);
   ServingStats serving = fast_engine_->serving();
   EXPECT_GE(serving.deadline_exceeded, 1u);
   EXPECT_EQ(serving.shed, 0u);

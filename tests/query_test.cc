@@ -186,27 +186,35 @@ TEST_F(QueryEngineTest, CountNeverEnumeratesLeaves) {
   EXPECT_EQ(engine_->stats().leaves_enumerated, hits->size());
 }
 
-TEST_F(QueryEngineTest, BatchedApisMatchSingles) {
+TEST_F(QueryEngineTest, DictionaryBatchMatchesSingles) {
+  // The empty item fails on its own (per-item status); the rest of the
+  // batch still answers.
   std::vector<std::string> patterns = {"A",
                                        "ACG",
                                        text_.substr(10, 12),
+                                       "",
                                        text_.substr(3000, 7),
                                        "ACGTACGTACGTACGTACGTACGTACGTACGT"};
-  auto counts = engine_->CountBatch(patterns);
-  ASSERT_TRUE(counts.ok());
-  auto locates = engine_->LocateBatch(patterns, 20);
-  ASSERT_TRUE(locates.ok());
-  ASSERT_EQ(counts->size(), patterns.size());
-  ASSERT_EQ(locates->size(), patterns.size());
+  DictMatchOptions locate_mode;
+  locate_mode.locate = true;
+  locate_mode.locate_limit = 20;
+  auto outcomes = engine_->MatchDictionary(patterns, locate_mode);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  ASSERT_EQ(outcomes->size(), patterns.size());
   for (std::size_t i = 0; i < patterns.size(); ++i) {
+    const DictOutcome& outcome = (*outcomes)[i];
     auto count = engine_->Count(patterns[i]);
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ((*counts)[i], *count) << "pattern: " << patterns[i];
+    ASSERT_EQ(outcome.status.code(), count.status().code())
+        << "pattern: " << patterns[i];
+    if (!count.ok()) {
+      EXPECT_TRUE(outcome.status.IsInvalidArgument());
+      continue;
+    }
+    EXPECT_EQ(outcome.count, *count) << "pattern: " << patterns[i];
     auto hits = engine_->Locate(patterns[i], 20);
     ASSERT_TRUE(hits.ok());
-    EXPECT_EQ((*locates)[i], *hits) << "pattern: " << patterns[i];
+    EXPECT_EQ(outcome.offsets, *hits) << "pattern: " << patterns[i];
   }
-  EXPECT_FALSE(engine_->CountBatch({"A", ""}).ok());  // errors propagate
 }
 
 TEST_F(QueryEngineTest, CountUsesTrieWithoutSubTreeIo) {
